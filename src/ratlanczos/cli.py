@@ -492,7 +492,7 @@ def cmd_sweep(args):
     for k, argv in enumerate(runs):
         rundir = base / f"run_{k:04d}"
         rundir.mkdir(parents=True, exist_ok=True)
-        jobs.append(list(argv) + ["--outdir", str(rundir)])
+        jobs.append((k, list(argv) + ["--outdir", str(rundir)]))
     if args.jobs > 1:
         import multiprocessing as mp
         with mp.Pool(args.jobs) as pool:
@@ -508,12 +508,16 @@ def cmd_sweep(args):
     return 0
 
 
-def _sweep_one(argv):
+def _sweep_one(job):
+    """Run one manifest entry; an unexpected exception is reported as
+    ``main``'s JSON error record with the run index, and exit code 1."""
+    k, argv = job
     try:
         return main(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except Exception:
+    except Exception as exc:
+        print(_error_record(exc, argv[0], run=k), file=sys.stderr)
         return 1
 
 
@@ -648,10 +652,14 @@ def main(argv=None):
     try:
         return args.func(args)
     except (RatLanczosError, ValueError, OSError) as exc:
-        err = {"error": type(exc).__name__, "message": str(exc),
-               "command": args.command}
-        print(json.dumps(err, sort_keys=True), file=sys.stderr)
+        print(_error_record(exc, args.command), file=sys.stderr)
         return 1
+
+
+def _error_record(exc, command, **extra):
+    err = {"error": type(exc).__name__, "message": str(exc),
+           "command": command, **extra}
+    return json.dumps(err, sort_keys=True)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .dense import matfun_action_e1, matfun_first_cols
 from .errors import DimensionError, RankDeficiencyError
 from .lanczos import EXACT_TERMINATIONS, TERM_LUCKY_BREAKDOWN, run
 from .shifts import FactorizationCache, ShiftSequence, default_shifts
-from .sparse import SparseSym, norm_estimate
+from .sparse import SparseSym, power_iteration
 
 STRATEGIES = ("quadratic", "polarization", "oblique", "block2x2")
 STOPPING_RULES = ("iterate-difference", "residual-bound", "both")
@@ -71,9 +71,9 @@ class FormResult:
     lanczos: object = None
 
 
-def _resolve_shifts(A, shifts, m):
+def _resolve_shifts(A, shifts, m, power=None):
     if shifts is None:
-        return default_shifts(A, m), True
+        return default_shifts(A, m, power=power), True
     if not isinstance(shifts, ShiftSequence):
         shifts = ShiftSequence(shifts)
     return shifts, False
@@ -133,9 +133,11 @@ def quad_form(A: SparseSym, v, shifts=None, req: FormRequest = None,
     of iterates lagged by s, the residual bound, or both.
     """
     req = req or FormRequest()
-    shifts, _ = _resolve_shifts(A, shifts, req.max_m)
+    # one power iteration gives both the norm and the default poles
+    power = power_iteration(A)
+    shifts, _ = _resolve_shifts(A, shifts, req.max_m, power)
+    norm_A = NORM_INFLATION * power[0]
     fn = req.f
-    norm_A = NORM_INFLATION * norm_estimate(A)
     history, bounds = [], []
 
     def cb(state):
@@ -227,8 +229,9 @@ def bilinear_form(A: SparseSym, u, v, shifts=None, req: FormRequest = None,
                               max(it_p, it_m), parts=parts)
 
     if strategy == "oblique":
-        shifts_r, _ = _resolve_shifts(A, shifts, req.max_m)
-        norm_A = NORM_INFLATION * norm_estimate(A)
+        power = power_iteration(A)
+        shifts_r, _ = _resolve_shifts(A, shifts, req.max_m, power)
+        norm_A = NORM_INFLATION * power[0]
         history, bounds = [], []
 
         def cb(state):

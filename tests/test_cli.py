@@ -149,6 +149,23 @@ def test_sweep_manifest(tmp_path):
     assert (tmp_path / "sw" / "run_0001" / "fpa.json").exists()
 
 
+def test_sweep_reports_unexpected_error(tmp_path, capsys, monkeypatch):
+    import ratlanczos.cli as cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_h2", boom)
+    manifest = tmp_path / "mani.json"
+    manifest.write_text(json.dumps([["fpa", "--n", "100", "--m", "5"],
+                                    ["h2", "--demo"]]))
+    assert run_cli(["sweep", manifest, "--outdir", tmp_path / "sw"]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(lines[0]) == {"command": "h2", "error": "RuntimeError",
+                                    "message": "boom", "run": 1}
+    assert lines[-1] == "sweep: 1 of 2 runs failed: [1]"
+
+
 def test_bundled_smoke_manifest(tmp_path):
     import time
     manifest = CONFIG_DIR / "smoke.json"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import ratlanczos.shifts as shifts_mod
 from ratlanczos import (INFINITY, FactorizationCache, IndefiniteShiftError,
                         Shift, ShiftError, ShiftSequence, SparseSym,
                         default_shifts, shifted_factorize, shifted_solve_multi)
-from ratlanczos.problems import gen_laplacian2d
+from ratlanczos.problems import gen_laplacian2d, gen_strakos
 
 from conftest import rand_sym
 
@@ -63,6 +64,38 @@ def test_indefinite_shifted_matrix_reported(method):
     with pytest.raises(IndefiniteShiftError) as exc:
         shifted_factorize(A, Shift(0.5), method=method)
     assert exc.value.shift.value == 0.5
+
+
+def test_auto_chooses_solver_by_sparsity(rng, monkeypatch):
+    def auto_method(A, pole):
+        return shifted_factorize(A, Shift(pole)).method
+
+    # diagonal, 0.1 % nonzero
+    assert auto_method(gen_strakos(900, 0.01, 100, 0.45), -1.0) == "sparse-ldl"
+    # 1.2 % nonzero
+    assert auto_method(gen_laplacian2d(20), 1.0) == "dense-cholesky"
+    dense, _ = rand_sym(rng, 40, 1.0, 2.0)
+    assert auto_method(dense, -1.0) == "dense-cholesky"
+    # above the size cutoff even a dense operator goes sparse
+    monkeypatch.setattr(shifts_mod, "DENSE_CUTOFF", 39)
+    assert auto_method(dense, -1.0) == "sparse-ldl"
+
+
+def test_indefinite_shift_reported_on_auto_path():
+    # a diagonal operator of this size takes the sparse path
+    A = SparseSym.from_coo(200, np.arange(200), np.arange(200),
+                           np.linspace(1.0, 2.0, 200),
+                           definiteness_hint="positive")
+    assert shifted_factorize(A, Shift(-1.0)).method == "sparse-ldl"
+    with pytest.raises(IndefiniteShiftError) as exc:
+        shifted_factorize(A, Shift(1.5))
+    assert exc.value.shift.value == 1.5
+    # a pole inside the spectrum of a Laplacian on the dense path
+    L = gen_laplacian2d(20)
+    lam = np.linalg.eigvalsh(L.to_dense())
+    assert shifted_factorize(L, Shift(1.0)).method == "dense-cholesky"
+    with pytest.raises(IndefiniteShiftError):
+        shifted_factorize(L, Shift(float(np.median(lam))))
 
 
 def test_sign_check_warns():
