@@ -509,16 +509,13 @@ def cmd_sweep(args):
 
 
 def _sweep_one(job):
-    """Run one manifest entry; an unexpected exception is reported as
-    ``main``'s JSON error record with the run index, and exit code 1."""
+    """Run one manifest entry.  Any exception of the run, expected or
+    not, is reported as ``main``'s JSON error record plus the run index."""
     k, argv = job
     try:
-        return main(argv)
+        return _run(build_parser().parse_args(argv), Exception, run=k)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except Exception as exc:
-        print(_error_record(exc, argv[0], run=k), file=sys.stderr)
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -647,19 +644,20 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    return _run(build_parser().parse_args(argv),
+                (RatLanczosError, ValueError, OSError))
+
+
+def _run(args, errors, **extra):
+    """Run the parsed command; an exception of type ``errors`` is printed
+    to stderr as a JSON record (with ``extra`` fields) and gives exit 1."""
     try:
         return args.func(args)
-    except (RatLanczosError, ValueError, OSError) as exc:
-        print(_error_record(exc, args.command), file=sys.stderr)
+    except errors as exc:
+        err = {"error": type(exc).__name__, "message": str(exc),
+               "command": args.command, **extra}
+        print(json.dumps(err, sort_keys=True), file=sys.stderr)
         return 1
-
-
-def _error_record(exc, command, **extra):
-    err = {"error": type(exc).__name__, "message": str(exc),
-           "command": command, **extra}
-    return json.dumps(err, sort_keys=True)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ from .block import BlockLanczosResult, block_run
 from .dense import matfun_action_e1, matfun_first_cols
 from .errors import DimensionError, RankDeficiencyError
 from .lanczos import EXACT_TERMINATIONS, TERM_LUCKY_BREAKDOWN, run
-from .shifts import FactorizationCache, ShiftSequence, default_shifts
+from .shifts import (FactorizationCache, ShiftSequence, _poles_from_power,
+                     default_shifts)
 from .sparse import SparseSym, power_iteration
 
 STRATEGIES = ("quadratic", "polarization", "oblique", "block2x2")
@@ -72,8 +73,10 @@ class FormResult:
 
 
 def _resolve_shifts(A, shifts, m, power=None):
+    """``power`` is ``power_iteration(A)`` when the caller already ran it."""
     if shifts is None:
-        return default_shifts(A, m, power=power), True
+        nrm, v = power if power is not None else power_iteration(A)
+        return _poles_from_power(A, m, nrm, v), True
     if not isinstance(shifts, ShiftSequence):
         shifts = ShiftSequence(shifts)
     return shifts, False

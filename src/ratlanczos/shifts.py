@@ -13,11 +13,15 @@ from .errors import ConvergenceError, DimensionError, IndefiniteShiftError, Shif
 from .sparse import SparseSym, power_iteration
 
 #: ``auto`` takes dense Cholesky only for an operator with n <= DENSE_CUTOFF
-#: that is also dense, more than 1 % of its entries stored; every other
-#: operator goes to the sparse SuperLU factorization (``sparse-ldl``).  On
-#: random SPD patterns with one BLAS thread, sparse solves were 5-9x faster
-#: at 0.6 % nonzero and lost on factor and solve time at 2 %.
+#: that stores more than DENSE_ROW_NNZ entries per row on average; every
+#: other operator goes to the sparse SuperLU factorization (``sparse-ldl``).
+#: Fill, and with it the sparse cost, follows the entries per row, not the
+#: stored fraction.  With one BLAS thread and n = 400-2000, SuperLU won on
+#: both factor and solve time at 4-6 entries per row (2-D Laplacians and
+#: random patterns), lost 1.1-1.5x on the factor while solving 2.3-2.9x
+#: faster at 9, and lost 1.8-2.3x on the factor at 13 and 3.6-4.3x at 21-25.
 DENSE_CUTOFF = 2000
+DENSE_ROW_NNZ = 8
 CG_RTOL = 1e-14
 
 #: debug switch: verify the residual of every shifted solve
@@ -119,8 +123,7 @@ class ShiftSequence:
                     "indefinite", stacklevel=2)
 
 
-def default_shifts(A: SparseSym, m, num_poles=12, span_decades=6, seed=0,
-                   power=None):
+def default_shifts(A: SparseSym, m, num_poles=12, span_decades=6, seed=0):
     """Fallback pole sequence when the caller supplies none.
 
     ``num_poles`` real poles with magnitudes log-spaced over
@@ -128,10 +131,15 @@ def default_shifts(A: SparseSym, m, num_poles=12, span_decades=6, seed=0,
     is taken opposite to the operator's definiteness so every shifted
     matrix stays positive definite (positive poles for a stable, negative
     definite operator); without a definiteness hint the Rayleigh quotient
-    of the power iterate decides.  ``power`` is the result of
-    ``power_iteration(A, seed=seed)`` when the caller already has it.
+    of the power iterate decides.
     """
-    nrm, v = power if power is not None else power_iteration(A, seed=seed)
+    nrm, v = power_iteration(A, seed=seed)
+    return _poles_from_power(A, m, nrm, v, num_poles, span_decades)
+
+
+def _poles_from_power(A: SparseSym, m, nrm, v, num_poles=12, span_decades=6):
+    """``default_shifts`` from a power iteration the caller already ran:
+    ``nrm, v = power_iteration(A, seed=seed)``."""
     if nrm == 0.0:
         nrm = 1.0
     hint = A.definiteness_hint
@@ -202,8 +210,9 @@ def shifted_factorize(A: SparseSym, xi: Shift, method: str = "auto") -> ShiftedF
       It is an LU factorization, not an LDL^T; positive definiteness is
       read off the signs of U's diagonal.
     - ``iterative-cg``: conjugate gradients per right-hand side.
-    - ``auto``: ``dense-cholesky`` when n <= DENSE_CUTOFF and more than
-      1 % of A's entries are stored, ``sparse-ldl`` otherwise.
+    - ``auto``: ``dense-cholesky`` when n <= DENSE_CUTOFF and A stores
+      more than DENSE_ROW_NNZ entries per row on average, ``sparse-ldl``
+      otherwise.
 
     Raises
     ------
@@ -217,8 +226,8 @@ def shifted_factorize(A: SparseSym, xi: Shift, method: str = "auto") -> ShiftedF
         return ShiftedFactorization(xi, "identity", n, lambda B: B.copy(),
                                     apply_op=lambda X: X)
     if method == "auto":
-        dense = 100 * A.nnz > n * n
-        method = "dense-cholesky" if n <= DENSE_CUTOFF and dense else "sparse-ldl"
+        dense = n <= DENSE_CUTOFF and A.nnz > DENSE_ROW_NNZ * n
+        method = "dense-cholesky" if dense else "sparse-ldl"
     inv = xi.inv
     apply_op = lambda X: X - inv * A.matmat(X)
 

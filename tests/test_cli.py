@@ -149,21 +149,26 @@ def test_sweep_manifest(tmp_path):
     assert (tmp_path / "sw" / "run_0001" / "fpa.json").exists()
 
 
-def test_sweep_reports_unexpected_error(tmp_path, capsys, monkeypatch):
+def test_sweep_error_records_carry_run_index(tmp_path, capsys, monkeypatch):
     import ratlanczos.cli as cli
 
     def boom(args):
         raise RuntimeError("boom")
 
+    def bad_value(args):
+        raise ValueError("bad")
+
     monkeypatch.setattr(cli, "cmd_h2", boom)
+    monkeypatch.setattr(cli, "cmd_fpa", bad_value)
     manifest = tmp_path / "mani.json"
     manifest.write_text(json.dumps([["fpa", "--n", "100", "--m", "5"],
                                     ["h2", "--demo"]]))
     assert run_cli(["sweep", manifest, "--outdir", tmp_path / "sw"]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
-    assert json.loads(lines[0]) == {"command": "h2", "error": "RuntimeError",
-                                    "message": "boom", "run": 1}
-    assert lines[-1] == "sweep: 1 of 2 runs failed: [1]"
+    assert [json.loads(line) for line in lines[:2]] == [
+        {"command": "fpa", "error": "ValueError", "message": "bad", "run": 0},
+        {"command": "h2", "error": "RuntimeError", "message": "boom", "run": 1}]
+    assert lines[-1] == "sweep: 2 of 2 runs failed: [0, 1]"
 
 
 def test_bundled_smoke_manifest(tmp_path):

@@ -66,14 +66,26 @@ def test_indefinite_shifted_matrix_reported(method):
     assert exc.value.shift.value == 0.5
 
 
-def test_auto_chooses_solver_by_sparsity(rng, monkeypatch):
+def _banded(n, half):
+    """Diagonally dominant SPD band matrix: 2 * half + 1 entries per
+    interior row."""
+    M = np.diag(np.full(n, 2.0 * half + 1.0))
+    for k in range(1, half + 1):
+        M += np.diag(np.ones(n - k), k) + np.diag(np.ones(n - k), -k)
+    return SparseSym.from_dense(M, definiteness_hint="positive")
+
+
+def test_auto_chooses_solver_by_entries_per_row(rng, monkeypatch):
     def auto_method(A, pole):
         return shifted_factorize(A, Shift(pole)).method
 
-    # diagonal, 0.1 % nonzero
+    # 1 entry per row (diagonal)
     assert auto_method(gen_strakos(900, 0.01, 100, 0.45), -1.0) == "sparse-ldl"
-    # 1.2 % nonzero
-    assert auto_method(gen_laplacian2d(20), 1.0) == "dense-cholesky"
+    # about 5 per row
+    assert auto_method(gen_laplacian2d(20), 1.0) == "sparse-ldl"
+    # either side of DENSE_ROW_NNZ = 8 per row
+    assert auto_method(_banded(100, 3), -1.0) == "sparse-ldl"
+    assert auto_method(_banded(100, 4), -1.0) == "dense-cholesky"
     dense, _ = rand_sym(rng, 40, 1.0, 2.0)
     assert auto_method(dense, -1.0) == "dense-cholesky"
     # above the size cutoff even a dense operator goes sparse
@@ -81,8 +93,8 @@ def test_auto_chooses_solver_by_sparsity(rng, monkeypatch):
     assert auto_method(dense, -1.0) == "sparse-ldl"
 
 
-def test_indefinite_shift_reported_on_auto_path():
-    # a diagonal operator of this size takes the sparse path
+def test_indefinite_shift_reported_on_auto_path(rng):
+    # pole inside the spectrum [1, 2] of a diagonal operator: sparse path
     A = SparseSym.from_coo(200, np.arange(200), np.arange(200),
                            np.linspace(1.0, 2.0, 200),
                            definiteness_hint="positive")
@@ -90,12 +102,16 @@ def test_indefinite_shift_reported_on_auto_path():
     with pytest.raises(IndefiniteShiftError) as exc:
         shifted_factorize(A, Shift(1.5))
     assert exc.value.shift.value == 1.5
-    # a pole inside the spectrum of a Laplacian on the dense path
+    # pole inside the spectrum of a Laplacian: sparse path
     L = gen_laplacian2d(20)
     lam = np.linalg.eigvalsh(L.to_dense())
-    assert shifted_factorize(L, Shift(1.0)).method == "dense-cholesky"
     with pytest.raises(IndefiniteShiftError):
         shifted_factorize(L, Shift(float(np.median(lam))))
+    # pole inside the spectrum [1, 2] of a dense operator: dense path
+    D, _ = rand_sym(rng, 40, 1.0, 2.0)
+    assert shifted_factorize(D, Shift(-1.0)).method == "dense-cholesky"
+    with pytest.raises(IndefiniteShiftError):
+        shifted_factorize(D, Shift(1.5))
 
 
 def test_sign_check_warns():
