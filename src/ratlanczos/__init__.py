@@ -34,12 +34,11 @@ from .io import (read_dense_blob, read_dense_matrix, read_matrix_market,
                  write_matrix_market)
 from .lanczos import (DiagnosticsReport, LanczosResult, RecurrenceState,
                       assemble_HK, diagnostics, init_state, lanczos_step,
-                      run, solve_K_columns)
+                      run)
 from .problems import (gen_indicator, gen_laplacian2d, gen_strakos,
                        gp_points, grid_coords, strakos_eigenvalues)
 from .shifts import (INFINITY, FactorizationCache, Shift, ShiftSequence,
-                     ShiftedFactorization, default_shifts, shifted_factorize,
-                     shifted_solve_multi)
-from .sparse import SparseSym, norm_estimate, spmv
+                     ShiftedFactorization, default_shifts, shifted_factorize)
+from .sparse import SparseSym, norm_estimate
 
 __version__ = "0.1.0"

@@ -10,12 +10,14 @@ per block column, half as many as the short recurrence.
 
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .dense import qr_thin
 from .errors import RankDeficiencyError, ShiftError
-from .lanczos import TERM_CONVERGED, TERM_LUCKY_BREAKDOWN, TERM_MAX_ITERATIONS
+from .lanczos import (TERM_CONVERGED, TERM_LUCKY_BREAKDOWN, TERM_MAX_ITERATIONS,
+                      _as_side_matrix)
 from .shifts import FactorizationCache, ShiftSequence
 from .sparse import SparseSym
 
@@ -26,10 +28,13 @@ _EPS = float(np.finfo(float).eps)
 class ArnoldiResult:
     """Full-basis decomposition after m iterations.
 
-    ``Q`` has (m+1) p orthonormal columns; ``J`` is the explicit
-    projection Q^T A Q over all of them (slice the leading m p rows and
-    columns to compare with a short-recurrence projection).  ``Hbar`` and
-    ``Kbar`` satisfy A Q Kbar = Q Hbar.
+    ``Q`` has (m+1) p orthonormal columns and is a view of the process's
+    storage, not a copy; ``J`` is the explicit projection Q^T A Q over
+    all of them (slice the leading m p rows and columns to compare with a
+    short-recurrence projection).  ``Hbar`` and ``Kbar`` satisfy
+    A Q Kbar = Q Hbar.  ``R0`` is the QR factor of the start block and
+    ``side_projections`` holds Q^T U for a side matrix U, when one was
+    given.
     """
 
     Q: np.ndarray
@@ -42,6 +47,8 @@ class ArnoldiResult:
     shifts: tuple
     orth_trace: np.ndarray
     timings: np.ndarray
+    R0: np.ndarray = None
+    side_projections: Optional[np.ndarray] = None
     elapsed: float = 0.0
 
     @property
@@ -57,7 +64,7 @@ class ArnoldiProcess:
     iteration at a time so callers can evaluate stopping rules."""
 
     def __init__(self, A: SparseSym, V, shifts, m, solver_cache=None,
-                 solve_method="auto"):
+                 solve_method="auto", side_matrix=None):
         if not isinstance(shifts, ShiftSequence):
             shifts = ShiftSequence(shifts)
         if len(shifts) < m:
@@ -83,6 +90,8 @@ class ArnoldiProcess:
         self.j = 0
         self.terminated = None
         self.shifts_used = []
+        self.side_matrix = (None if side_matrix is None
+                            else _as_side_matrix(side_matrix, n))
 
         Q0, self.R0 = qr_thin(V)
         self._append_block(Q0)
@@ -119,13 +128,12 @@ class ArnoldiProcess:
 
         scale = np.linalg.norm(hcol) + np.linalg.norm(Wnew)
         lucky = np.linalg.norm(Wnew, "fro") <= self.n * _EPS * max(scale, 1.0)
+        if not lucky:
+            try:
+                Qnew, hdiag = qr_thin(Wnew)
+            except RankDeficiencyError:
+                lucky = True
         if lucky:
-            self.terminated = TERM_LUCKY_BREAKDOWN
-            self.timings.append(time.perf_counter() - t0)
-            return False
-        try:
-            Qnew, hdiag = qr_thin(Wnew)
-        except RankDeficiencyError:
             self.terminated = TERM_LUCKY_BREAKDOWN
             self.timings.append(time.perf_counter() - t0)
             return False
@@ -148,26 +156,35 @@ class ArnoldiProcess:
         return True
 
     @property
-    def J_view(self):
-        """Projection onto the first j block columns."""
-        jp = self.j * self.p
-        return self.J[:jp, :jp]
+    def _width(self):
+        """Columns of the current projection: the first j blocks, or all
+        j + 1 stored blocks once a lucky breakdown has made them span an
+        invariant subspace."""
+        lucky = self.terminated == TERM_LUCKY_BREAKDOWN
+        blocks = self.j + 1 if lucky else self.j
+        return blocks * self.p
 
     @property
-    def J_full_view(self):
-        """Projection onto all j + 1 block columns built so far."""
-        jp = (self.j + 1) * self.p
-        return self.J[:jp, :jp]
+    def J_view(self):
+        """Projection onto the current basis (see ``_width``)."""
+        w = self._width
+        return self.J[:w, :w]
 
-    def side_view(self, U):
-        """Projection Q_j^T U of the current basis (the long method can
-        afford to compute it on demand)."""
-        return self.Q[:, :self.j * self.p].T @ U
+    @property
+    def side_view(self):
+        """Projection Q^T U of the current basis onto the side matrix
+        (the long method can afford to compute it on demand)."""
+        if self.side_matrix is None:
+            return None
+        return self.Q[:, :self._width].T @ self.side_matrix
 
     def result(self, termination=None):
         jp = (self.j + 1) * self.p
+        side = None
+        if self.side_matrix is not None:
+            side = self.Q[:, :jp].T @ self.side_matrix
         return ArnoldiResult(
-            Q=self.Q[:, :jp].copy(),
+            Q=self.Q[:, :jp],
             Hbar=self.Hbar[:jp, :self.j * self.p].copy(),
             Kbar=self.Kbar[:jp, :self.j * self.p].copy(),
             J=self.J[:jp, :jp].copy(),
@@ -177,23 +194,29 @@ class ArnoldiProcess:
             shifts=tuple(self.shifts_used),
             orth_trace=np.array(self.orth_trace),
             timings=np.array(self.timings),
+            R0=self.R0,
+            side_projections=side,
         )
 
 
 def arnoldi_run(A: SparseSym, V, shifts, m, callback=None, solver_cache=None,
-                solve_method="auto") -> ArnoldiResult:
+                solve_method="auto", side_matrix=None) -> ArnoldiResult:
     """Run m rational Arnoldi iterations from v (or an n x p block).
 
     ``callback(process)`` is evaluated after every iteration; returning
-    True stops early with termination "converged".
+    True stops early with termination "converged".  A lucky breakdown
+    ends the run after one last call, whose return is ignored, with
+    ``J_view`` and ``side_view`` covering every stored block.
     """
     t0 = time.perf_counter()
     proc = ArnoldiProcess(A, V, shifts, m, solver_cache=solver_cache,
-                          solve_method=solve_method)
+                          solve_method=solve_method, side_matrix=side_matrix)
     termination = TERM_MAX_ITERATIONS
     while proc.j < m:
         if not proc.step():
             termination = proc.terminated
+            if callback is not None:
+                callback(proc)
             break
         if callback is not None and callback(proc):
             termination = TERM_CONVERGED

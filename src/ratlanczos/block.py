@@ -17,7 +17,8 @@ from .dense import qr_thin
 from .errors import (AlphaBreakdownError, DeflationNeededError, DimensionError,
                      RankDeficiencyError, ShiftError, SingularKError)
 from .lanczos import (TERM_CONVERGED, TERM_LUCKY_BREAKDOWN,
-                      TERM_MAX_ITERATIONS, TERM_SPACE_EXHAUSTED)
+                      TERM_MAX_ITERATIONS, TERM_SPACE_EXHAUSTED,
+                      _as_side_matrix)
 from .shifts import FactorizationCache, Shift, ShiftSequence, shifted_factorize
 from .sparse import SparseSym
 
@@ -96,11 +97,7 @@ def block_init_state(A: SparseSym, V, m_max, side_matrix=None, retain_basis=Fals
     st.J = np.zeros((m_max * p, m_max * p))
     st.eta = np.zeros((p, p))
     if side_matrix is not None:
-        U = np.asarray(side_matrix, dtype=float)
-        if U.ndim == 1:
-            U = U.reshape(-1, 1)
-        if U.shape[0] != n:
-            raise DimensionError("side matrix row count mismatch")
+        U = _as_side_matrix(side_matrix, n)
         st.side = np.zeros(((m_max + 1) * p, U.shape[1]))
         st.side[:p] = Qhat.T @ U
         st._side_matrix = U
@@ -306,6 +303,8 @@ def block_run(A: SparseSym, V, shifts, m, side_matrix=None, retain_basis=False,
                            check=check_invariants)
         if state.breakdown is not None:
             termination = TERM_LUCKY_BREAKDOWN
+            if callback is not None:
+                callback(state)
             break
         if callback is not None and callback(state):
             termination = TERM_CONVERGED

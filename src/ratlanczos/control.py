@@ -9,18 +9,20 @@ projection are accumulated while the basis is discarded.
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
 
-from .arnoldi import ArnoldiProcess
+from .arnoldi import arnoldi_run
 from .block import block_run
-from .dense import care_newton, expm_general, sym_eig
+from .dense import care_newton, expm_general, lyap_sym_solver, sym_eig
 from .errors import DimensionError, StabilityError
 from .io import read_dense_matrix, read_matrix_market, read_system_descriptor
-from .lanczos import EXACT_TERMINATIONS, TERM_LUCKY_BREAKDOWN
+from .lanczos import EXACT_TERMINATIONS, lag_converged
 from .shifts import ShiftSequence, default_shifts
 from .sparse import SparseSym
 
@@ -121,23 +123,6 @@ def mass_transform(sys: LtiSystem) -> LtiSystem:
     return LtiSystem(A=A2, B=B2, C=C2, E=None, x0=x02, R=sys.R)
 
 
-def _lyap_solver_for(J):
-    """Factor sym_eig(J) once; returns a solver for J Y + Y J + W = 0."""
-    lam, V = sym_eig(J)
-    tol = 1e-12 * max(abs(lam[0]), abs(lam[-1]), 1e-300)
-    if lam[-1] >= -tol:
-        raise StabilityError(
-            f"projected matrix must be stable; largest eigenvalue {lam[-1]:.6e}")
-    denom = lam[:, None] + lam[None, :]
-
-    def solve(W):
-        Wt = V.T @ W @ V
-        Y = V @ (-Wt / denom) @ V.T
-        return 0.5 * (Y + Y.T)
-
-    return solve
-
-
 def _choose_seed(sys: LtiSystem):
     """Krylov seed by the thinner of C^T and B; the other side is the
     projection accumulated on the fly."""
@@ -158,14 +143,18 @@ class H2Result:
     block: object = None
 
 
-def _h2_value(J, gamma, side_proj, lyap_solver=None):
-    jp = J.shape[0]
-    p0 = gamma.shape[0]
+def _gramian_form(lyap, jp, F, G):
+    """tr(G^T Y G) for the reduced Gramian Y of J Y + Y J + W = 0, where W
+    holds F F^T in its leading block; ``lyap`` solves for J."""
+    p0 = F.shape[0]
     W = np.zeros((jp, jp))
-    W[:p0, :p0] = gamma @ gamma.T
-    solve = lyap_solver or _lyap_solver_for(J)
-    Y = solve(W)
-    val = float(np.sum(side_proj * (Y @ side_proj)))
+    W[:p0, :p0] = F @ F.T
+    Y = lyap(W)
+    return float(np.sum(G * (Y @ G)))
+
+
+def _h2_value(J, gamma, side_proj):
+    val = _gramian_form(lyap_sym_solver(J), J.shape[0], gamma, side_proj)
     return math.sqrt(max(val, 0.0))
 
 
@@ -178,6 +167,18 @@ def h2_norm(sys: LtiSystem, shifts=None, tol=1e-8, s=1, max_m=80,
     accumulated opposite-side projection; the run stops when two norm
     iterates lagged by ``s`` agree to relative ``tol``.
     """
+    return _h2_norm(sys, shifts, tol, s, max_m,
+                    partial(block_run, retain_basis=retain_basis), "lanczos")
+
+
+def h2_norm_arnoldi(sys: LtiSystem, shifts=None, tol=1e-8, s=1,
+                    max_m=80) -> H2Result:
+    """Full-basis twin of ``h2_norm`` (comparison baseline)."""
+    return _h2_norm(sys, shifts, tol, s, max_m, arnoldi_run, "arnoldi")
+
+
+def _h2_norm(sys, shifts, tol, s, max_m, runner, method):
+    """Body of ``h2_norm`` on the subspace method ``runner``."""
     sys = mass_transform(sys)
     warn_if_unstable(sys)
     seed, side, mode = _choose_seed(sys)
@@ -187,55 +188,15 @@ def h2_norm(sys: LtiSystem, shifts=None, tol=1e-8, s=1, max_m=80,
     history = []
 
     def cb(state):
-        lyap = _lyap_solver_for(state.J_view)
-        history.append(_h2_value(state.J_view, state.R0, state.side_view, lyap))
-        return _rel_stop(history, s, tol)
+        history.append(_h2_value(state.J_view, state.R0, state.side_view))
+        return lag_converged(history, s, tol)
 
-    res = block_run(sys.A, seed, shifts, max_m, side_matrix=side,
-                    callback=cb, retain_basis=retain_basis)
-    if res.termination == TERM_LUCKY_BREAKDOWN:
-        history.append(_h2_value(res.J, res.R0, res.side_projections))
+    res = runner(sys.A, seed, shifts, max_m, side_matrix=side, callback=cb)
     converged = res.termination in EXACT_TERMINATIONS
     return H2Result(norm=history[-1], history=np.array(history),
                     iterations=res.m, converged=converged, seeded_with=mode,
-                    default_shifts_used=default_used, block=res)
-
-
-def _rel_stop(history, s, tol):
-    if len(history) <= s:
-        return False
-    cur, prev = history[-1], history[-1 - s]
-    if cur == 0.0:
-        return abs(cur - prev) <= tol
-    return abs(cur - prev) <= tol * abs(cur)
-
-
-def h2_norm_arnoldi(sys: LtiSystem, shifts=None, tol=1e-8, s=1,
-                    max_m=80) -> H2Result:
-    """Full-basis twin of ``h2_norm`` (comparison baseline)."""
-    sys = mass_transform(sys)
-    seed, side, mode = _choose_seed(sys)
-    default_used = shifts is None
-    if default_used:
-        shifts = default_shifts(sys.A, max_m)
-    proc = ArnoldiProcess(sys.A, seed, shifts, max_m)
-    history = []
-    converged = False
-    while proc.j < max_m and proc.terminated is None:
-        if not proc.step():
-            ncols = (proc.j + 1) * proc.p
-            history.append(_h2_value(proc.J_full_view, proc.R0,
-                                     proc.Q[:, :ncols].T @ side))
-            converged = True
-            break
-        history.append(_h2_value(proc.J_view, proc.R0,
-                                 proc.Q[:, :proc.j * proc.p].T @ side))
-        if _rel_stop(history, s, tol):
-            converged = True
-            break
-    return H2Result(norm=history[-1], history=np.array(history),
-                    iterations=proc.j, converged=converged, seeded_with=mode,
-                    default_shifts_used=default_used, method="arnoldi")
+                    default_shifts_used=default_used, method=method,
+                    block=res)
 
 
 @dataclass
@@ -297,26 +258,18 @@ def h2_param_norm(A, pio: ParametricIO, shifts=None, tol=1e-8, s=1,
     history = []
 
     def value(J, gamma, G):
-        jp0 = J.shape[0]
-        p0 = 2 * q
-        lyap = _lyap_solver_for(J)
+        lyap = lyap_sym_solver(J)
         total = 0.0
         for w_quad, winc, binc in zip(pio.weights, wincs, bincs):
-            mid = gamma @ winc
-            W = np.zeros((jp0, jp0))
-            W[:p0, :p0] = mid @ mid.T
-            Y = lyap(W)
-            Bm = G @ binc
-            total += w_quad * float(np.sum(Bm * (Y @ Bm)))
+            total += w_quad * _gramian_form(lyap, J.shape[0], gamma @ winc,
+                                            G @ binc)
         return math.sqrt(max(total, 0.0))
 
     def cb(state):
         history.append(value(state.J_view, state.R0, state.side_view))
-        return _rel_stop(history, s, tol)
+        return lag_converged(history, s, tol)
 
     res = block_run(A, seed, shifts, max_m, side_matrix=side, callback=cb)
-    if res.termination == TERM_LUCKY_BREAKDOWN:
-        history.append(value(res.J, res.R0, res.side_projections))
     converged = res.termination in EXACT_TERMINATIONS
     return H2Result(norm=history[-1], history=np.array(history),
                     iterations=res.m, converged=converged,
@@ -410,19 +363,19 @@ def _trivial_controller(p):
 
 
 class _LqrEvaluator:
-    """Shared per-step Riccati evaluation and lag-s stopping for the two
-    subspace methods."""
+    """Per-step Riccati evaluation and lag-s stopping, called once per
+    step of the subspace method."""
 
     def __init__(self, Rinv, p, s, tol):
         self.Rinv = Rinv
         self.p = p
         self.s = s
         self.tol = tol
-        self.recent = {}
+        self.recent = deque(maxlen=s + 1)   # controllers of the last s + 1 steps
         self.metrics = []
         self.controller = None
 
-    def step(self, j, J, gamma, side_proj):
+    def step(self, J, gamma, side_proj):
         q = gamma.shape[0]
         W = np.zeros_like(J)
         W[:q, :q] = gamma @ gamma.T
@@ -431,17 +384,14 @@ class _LqrEvaluator:
         Y = care_newton(J, Bm, self.Rinv, W)
         ctrl = ReducedController(m=J.shape[0], J=J.copy(), B=Bm.copy(),
                                  Y=Y, z0=z0.copy(), Rinv=self.Rinv)
-        self.recent[j] = ctrl
+        self.recent.append(ctrl)
         self.controller = ctrl
-        stop = False
-        if j - self.s in self.recent:
-            metric = l2_stop_metric(ctrl, self.recent[j - self.s])
-            self.metrics.append(metric)
-            stop = metric <= self.tol
-        else:
+        if len(self.recent) <= self.s:
             self.metrics.append(math.nan)
-        self.recent.pop(j - self.s, None)
-        return stop
+            return False
+        metric = l2_stop_metric(ctrl, self.recent[0])
+        self.metrics.append(metric)
+        return metric <= self.tol
 
 
 def lqr_reduce(sys: LtiSystem, shifts=None, tol=1e-8, s=4, max_m=80,
@@ -453,6 +403,19 @@ def lqr_reduce(sys: LtiSystem, shifts=None, tol=1e-8, s=4, max_m=80,
     when the relative L2 distance between feedback signals lagged by
     ``s`` drops below ``tol``.
     """
+    return _lqr_reduce(sys, shifts, tol, s, max_m,
+                       partial(block_run, retain_basis=retain_basis),
+                       "lanczos")
+
+
+def lqr_reduce_arnoldi(sys: LtiSystem, shifts=None, tol=1e-8, s=4,
+                       max_m=80) -> LqrResult:
+    """Full-basis twin of ``lqr_reduce`` (comparison baseline)."""
+    return _lqr_reduce(sys, shifts, tol, s, max_m, arnoldi_run, "arnoldi")
+
+
+def _lqr_reduce(sys, shifts, tol, s, max_m, runner, method):
+    """Body of ``lqr_reduce`` on the subspace method ``runner``."""
     if sys.R is None or sys.x0 is None:
         raise ValueError("LQR reduction needs both R and x0 on the system")
     sys = mass_transform(sys)
@@ -463,7 +426,7 @@ def lqr_reduce(sys: LtiSystem, shifts=None, tol=1e-8, s=4, max_m=80,
         # zero output: the optimal feedback is identically zero
         return LqrResult(controller=_trivial_controller(p), iterations=0,
                          converged=True, metric_history=np.array([]),
-                         default_shifts_used=False)
+                         default_shifts_used=False, method=method)
     default_used = shifts is None
     if default_used:
         shifts = default_shifts(sys.A, max_m)
@@ -471,53 +434,16 @@ def lqr_reduce(sys: LtiSystem, shifts=None, tol=1e-8, s=4, max_m=80,
     ev = _LqrEvaluator(Rinv, p, s, tol)
 
     def cb(state):
-        return ev.step(state.j, state.J_view, state.R0, state.side_view)
+        return ev.step(state.J_view, state.R0, state.side_view)
 
-    res = block_run(sys.A, sys.C.T.copy(), shifts, max_m, side_matrix=side,
-                    callback=cb, retain_basis=retain_basis)
-    if res.termination == TERM_LUCKY_BREAKDOWN:
-        ev.step(res.m, res.J, res.R0, res.side_projections)
+    res = runner(sys.A, sys.C.T.copy(), shifts, max_m, side_matrix=side,
+                 callback=cb)
     converged = res.termination in EXACT_TERMINATIONS
     return LqrResult(controller=ev.controller, iterations=res.m,
                      converged=converged,
                      metric_history=np.array(ev.metrics),
-                     default_shifts_used=default_used, block=res)
-
-
-def lqr_reduce_arnoldi(sys: LtiSystem, shifts=None, tol=1e-8, s=4,
-                       max_m=80) -> LqrResult:
-    """Full-basis twin of ``lqr_reduce`` (comparison baseline)."""
-    if sys.R is None or sys.x0 is None:
-        raise ValueError("LQR reduction needs both R and x0 on the system")
-    sys = mass_transform(sys)
-    p = sys.num_inputs
-    Rinv = np.linalg.solve(sys.R, np.eye(p))
-    if not np.any(sys.C):
-        return LqrResult(controller=_trivial_controller(p), iterations=0,
-                         converged=True, metric_history=np.array([]),
-                         default_shifts_used=False, method="arnoldi")
-    default_used = shifts is None
-    if default_used:
-        shifts = default_shifts(sys.A, max_m)
-    side = np.hstack([sys.B, sys.x0.reshape(-1, 1)])
-    ev = _LqrEvaluator(Rinv, p, s, tol)
-    proc = ArnoldiProcess(sys.A, sys.C.T.copy(), shifts, max_m)
-    converged = False
-    while proc.j < max_m and proc.terminated is None:
-        if not proc.step():
-            ev.step(proc.j, proc.J_full_view, proc.R0,
-                    proc.Q[:, :(proc.j + 1) * proc.p].T @ side)
-            converged = True
-            break
-        stop = ev.step(proc.j, np.ascontiguousarray(proc.J_view), proc.R0,
-                       proc.Q[:, :proc.j * proc.p].T @ side)
-        if stop:
-            converged = True
-            break
-    return LqrResult(controller=ev.controller, iterations=proc.j,
-                     converged=converged,
-                     metric_history=np.array(ev.metrics),
-                     default_shifts_used=default_used, method="arnoldi")
+                     default_shifts_used=default_used, method=method,
+                     block=res)
 
 
 def system_from_descriptor(path) -> tuple:

@@ -66,20 +66,8 @@ def dense_matfun(S, f):
     eigenvalues.  Raises DomainError naming the first offending eigenvalue
     when f is undefined somewhere on the spectrum.
     """
-    fn, dom, label = resolve_function(f)
     lam, V = sym_eig(S)
-    if dom is not None:
-        ok = dom(lam)
-        if not np.all(ok):
-            bad = lam[~ok][0]
-            raise DomainError(
-                f"function {label!r} undefined at eigenvalue {bad:.6e}")
-    with np.errstate(all="ignore"):
-        flam = np.asarray(fn(lam), dtype=float)
-    if not np.all(np.isfinite(flam)):
-        bad = lam[~np.isfinite(flam)][0]
-        raise DomainError(
-            f"function {label!r} undefined at eigenvalue {bad:.6e}")
+    flam = _eval_on_spectrum(lam, f)
     F = (V * flam) @ V.T
     return 0.5 * (F + F.T)
 
@@ -165,21 +153,32 @@ def _assert_stable_sym(J, name="J"):
     return lam, V
 
 
-def lyap_sym(J, W):
-    """Solve J Y + Y J + W = 0 for symmetric stable J and symmetric W.
+def lyap_sym_solver(J):
+    """Factor symmetric stable J once; returns a solver W -> Y of
+    J Y + Y J + W = 0 for symmetric right-hand sides W.
 
-    Solved in the eigenbasis of J, where the transformed solution is
-    -W_ij / (lambda_i + lambda_j).  The result is symmetrized exactly.
+    Each solve works in the eigenbasis of J, where the transformed
+    solution is -W_ij / (lambda_i + lambda_j).  The result is symmetrized
+    exactly.
     """
+    lam, V = _assert_stable_sym(J)
+    denom = lam[:, None] + lam[None, :]
+
+    def solve(W):
+        Y = V @ (-(V.T @ W @ V) / denom) @ V.T
+        return 0.5 * (Y + Y.T)
+
+    return solve
+
+
+def lyap_sym(J, W):
+    """Solve J Y + Y J + W = 0 for symmetric stable J and symmetric W
+    (one right-hand side of ``lyap_sym_solver``)."""
     J = _require_square(J, "J")
     W = _require_square(W, "W")
     if J.shape != W.shape:
         raise DimensionError("J and W must have equal shapes")
-    lam, V = _assert_stable_sym(J)
-    Wt = V.T @ W @ V
-    Yt = -Wt / (lam[:, None] + lam[None, :])
-    Y = V @ Yt @ V.T
-    return 0.5 * (Y + Y.T)
+    return lyap_sym_solver(J)(W)
 
 
 def care_newton(J, B, Rinv, W, max_iter=CARE_MAX_ITER):

@@ -15,11 +15,11 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .arnoldi import ArnoldiProcess
-from .block import BlockLanczosResult, block_run
+from .arnoldi import arnoldi_run
+from .block import block_run
 from .dense import matfun_action_e1, matfun_first_cols
 from .errors import DimensionError, RankDeficiencyError
-from .lanczos import EXACT_TERMINATIONS, TERM_LUCKY_BREAKDOWN, run
+from .lanczos import EXACT_TERMINATIONS, lag_converged, run
 from .shifts import (FactorizationCache, ShiftSequence, _poles_from_power,
                      default_shifts)
 from .sparse import SparseSym, power_iteration
@@ -73,23 +73,12 @@ class FormResult:
 
 
 def _resolve_shifts(A, shifts, m, power=None):
-    """``power`` is ``power_iteration(A)`` when the caller already ran it."""
-    if shifts is None:
-        nrm, v = power if power is not None else power_iteration(A)
-        return _poles_from_power(A, m, nrm, v), True
-    if not isinstance(shifts, ShiftSequence):
-        shifts = ShiftSequence(shifts)
-    return shifts, False
-
-
-def _diff_converged(history, s, tol):
-    if len(history) <= s:
-        return False
-    cur, prev = history[-1], history[-1 - s]
-    denom = abs(cur)
-    if denom == 0.0:
-        return abs(cur - prev) <= tol
-    return abs(cur - prev) <= tol * denom
+    """The given poles, or the default ones; ``power`` is
+    ``power_iteration(A)`` when the caller already ran it."""
+    if shifts is not None:
+        return shifts
+    nrm, v = power if power is not None else power_iteration(A)
+    return _poles_from_power(A, m, nrm, v)
 
 
 def residual_bound(state, f, tau=1.0, norm_A=None):
@@ -104,13 +93,19 @@ def residual_bound(state, f, tau=1.0, norm_A=None):
     """
     if norm_A is None:
         raise ValueError("norm_A estimate is required")
-    j = state.j
-    beta = state.beta[j]
-    if beta == 0.0:
+    if state.beta[state.j] == 0.0:
+        return 0.0
+    return _bound(state, matfun_action_e1(state.J_view, f, scale=tau), norm_A)
+
+
+def _bound(state, w, norm_A):
+    """The residual bound from w = f(tau J) e_1; zero once a lucky
+    breakdown has made the subspace invariant."""
+    if state.breakdown is not None:
         return 0.0
     sig = state.sig1          # inverse of the pole consumed at this step
-    w = matfun_action_e1(state.J_view, f, scale=tau)
-    return abs(beta) * (1.0 + abs(sig) * norm_A) * abs(float(state.t_view @ w))
+    return (abs(state.beta[state.j]) * (1.0 + abs(sig) * norm_A)
+            * abs(float(state.t_view @ w)))
 
 
 def block_residual_bound(state, f, tau=1.0, norm_A=None):
@@ -138,7 +133,7 @@ def quad_form(A: SparseSym, v, shifts=None, req: FormRequest = None,
     req = req or FormRequest()
     # one power iteration gives both the norm and the default poles
     power = power_iteration(A)
-    shifts, _ = _resolve_shifts(A, shifts, req.max_m, power)
+    shifts = _resolve_shifts(A, shifts, req.max_m, power)
     norm_A = NORM_INFLATION * power[0]
     fn = req.f
     history, bounds = [], []
@@ -146,16 +141,10 @@ def quad_form(A: SparseSym, v, shifts=None, req: FormRequest = None,
     def cb(state):
         w = matfun_action_e1(state.J_view, fn)
         history.append(state.norm_v ** 2 * w[0])
-        beta = state.beta[state.j]
-        bounds.append(abs(beta) * (1.0 + abs(state.sig1) * norm_A)
-                      * abs(float(state.t_view @ w)))
+        bounds.append(_bound(state, w, norm_A))
         return _stop(req, history, bounds)
 
     res = run(A, v, shifts, req.max_m, callback=cb, solver_cache=solver_cache)
-    if res.termination == TERM_LUCKY_BREAKDOWN:
-        w = matfun_action_e1(res.J, fn)
-        history.append(res.norm_v ** 2 * w[0])
-        bounds.append(0.0)
     converged = res.termination in EXACT_TERMINATIONS
     return FormResult(value=history[-1], history=np.array(history),
                       residual_bounds=np.array(bounds), iterations=res.m,
@@ -164,7 +153,7 @@ def quad_form(A: SparseSym, v, shifts=None, req: FormRequest = None,
 
 
 def _stop(req, history, bounds):
-    diff_ok = _diff_converged(history, req.s, req.tol)
+    diff_ok = lag_converged(history, req.s, req.tol)
     if req.stopping_rule == "iterate-difference":
         return diff_ok
     bound_ok = bool(bounds) and bounds[-1] <= req.tol
@@ -233,7 +222,7 @@ def bilinear_form(A: SparseSym, u, v, shifts=None, req: FormRequest = None,
 
     if strategy == "oblique":
         power = power_iteration(A)
-        shifts_r, _ = _resolve_shifts(A, shifts, req.max_m, power)
+        shifts_r = _resolve_shifts(A, shifts, req.max_m, power)
         norm_A = NORM_INFLATION * power[0]
         history, bounds = [], []
 
@@ -241,16 +230,11 @@ def bilinear_form(A: SparseSym, u, v, shifts=None, req: FormRequest = None,
             w = matfun_action_e1(state.J_view, req.f)
             um = state.side_view[:, 0]
             history.append(state.norm_v * float(um @ w))
-            beta = state.beta[state.j]
-            bounds.append(abs(beta) * (1.0 + abs(state.sig1) * norm_A)
-                          * abs(float(state.t_view @ w)))
+            bounds.append(_bound(state, w, norm_A))
             return _stop(req, history, bounds)
 
         res = run(A, v, shifts_r, req.max_m, side_matrix=u, callback=cb,
                   solver_cache=solver_cache)
-        if res.termination == TERM_LUCKY_BREAKDOWN:
-            w = matfun_action_e1(res.J, req.f)
-            history.append(res.norm_v * float(res.side_projections[:, 0] @ w))
         return BilinearResult(history[-1], strategy, res.m,
                               np.array(history))
 
@@ -275,7 +259,7 @@ class BlockFormResult:
     iterations: int
     converged: bool
     termination: str
-    block: BlockLanczosResult = None
+    block: object = None
 
 
 def block_quad_form(A: SparseSym, V, shifts=None, req: FormRequest = None,
@@ -287,12 +271,19 @@ def block_quad_form(A: SparseSym, V, shifts=None, req: FormRequest = None,
     columns of V.  Stopping uses the relative Frobenius change of the
     block iterate lagged by ``req.s``.
     """
+    return _block_quad_form(A, V, shifts, req, rescale, solver_cache,
+                            block_run)
+
+
+def _block_quad_form(A, V, shifts, req, rescale, solver_cache, runner):
+    """Body of ``block_quad_form`` on either subspace method: ``runner``
+    is ``block_run`` or ``arnoldi_run``."""
     req = req or FormRequest()
     V = np.asarray(V, dtype=float)
     if V.ndim == 1:
         V = V.reshape(-1, 1)
     p = V.shape[1]
-    shifts, _ = _resolve_shifts(A, shifts, req.max_m)
+    shifts = _resolve_shifts(A, shifts, req.max_m)
     history = []
 
     def value_from(J, R0):
@@ -303,17 +294,10 @@ def block_quad_form(A: SparseSym, V, shifts=None, req: FormRequest = None,
 
     def cb(state):
         history.append(value_from(state.J_view, state.R0))
-        if len(history) <= req.s:
-            return False
-        cur, prev = history[-1], history[-1 - req.s]
-        denom = np.linalg.norm(cur, "fro")
-        diff = np.linalg.norm(cur - prev, "fro")
-        return diff <= req.tol * denom if denom else diff <= req.tol
+        return lag_converged(history, req.s, req.tol)
 
-    res = block_run(A, V, shifts, req.max_m, callback=cb,
-                    solver_cache=solver_cache)
-    if res.termination == TERM_LUCKY_BREAKDOWN:
-        history.append(value_from(res.J, res.R0))
+    res = runner(A, V, shifts, req.max_m, callback=cb,
+                 solver_cache=solver_cache)
     converged = res.termination in EXACT_TERMINATIONS
     return BlockFormResult(value=history[-1], history=history,
                            iterations=res.m, converged=converged,
@@ -378,6 +362,11 @@ def hutchinson_trace(A: SparseSym, req: TraceRequest) -> TraceResult:
     trace, so the estimator is unbiased.  The estimate is the sample
     mean, with the standard error of the mean attached.
     """
+    return _hutchinson_trace(A, req, block_run)
+
+
+def _hutchinson_trace(A, req, runner):
+    """Body of ``hutchinson_trace`` on the subspace method ``runner``."""
     n = A.n
     shifts = req.shifts
     if shifts is None:
@@ -393,8 +382,7 @@ def hutchinson_trace(A: SparseSym, req: TraceRequest) -> TraceResult:
     while start < req.num_probes:
         count = min(req.block_size, req.num_probes - start)
         Z = rademacher_block(n, req.seed, start, count)
-        br = block_quad_form(A, Z, shifts, freq, rescale=True,
-                             solver_cache=cache)
+        br = _block_quad_form(A, Z, shifts, freq, True, cache, runner)
         samples[start:start + count] = np.diag(br.value)
         group_histories.append(
             np.array([float(np.mean(np.diag(M))) for M in br.history]))
@@ -490,7 +478,7 @@ def quad_form_arnoldi(A: SparseSym, v, shifts=None, req: FormRequest = None,
     short-recurrence quantity).
     """
     req = req or FormRequest()
-    shifts, _ = _resolve_shifts(A, shifts, req.max_m)
+    shifts = _resolve_shifts(A, shifts, req.max_m)
     v = np.asarray(v, dtype=float)
     nv = float(np.linalg.norm(v))
     history = []
@@ -498,15 +486,10 @@ def quad_form_arnoldi(A: SparseSym, v, shifts=None, req: FormRequest = None,
     def cb(proc):
         w = matfun_action_e1(proc.J_view, req.f)
         history.append(nv ** 2 * w[0])
-        return _diff_converged(history, req.s, req.tol)
+        return lag_converged(history, req.s, req.tol)
 
-    from .arnoldi import arnoldi_run
     res = arnoldi_run(A, v, shifts, req.max_m, callback=cb,
                       solver_cache=solver_cache)
-    if res.termination == TERM_LUCKY_BREAKDOWN:
-        # the invariant subspace spans all j + 1 stored columns
-        w = matfun_action_e1(res.J, req.f)
-        history.append(nv ** 2 * w[0])
     converged = res.termination in EXACT_TERMINATIONS
     return FormResult(value=history[-1], history=np.array(history),
                       residual_bounds=np.array([]), iterations=res.m,
@@ -516,58 +499,4 @@ def quad_form_arnoldi(A: SparseSym, v, shifts=None, req: FormRequest = None,
 
 def hutchinson_trace_arnoldi(A: SparseSym, req: TraceRequest) -> TraceResult:
     """Full-basis twin of ``hutchinson_trace`` with the same probes."""
-    n = A.n
-    shifts = req.shifts
-    if shifts is None:
-        shifts = default_shifts(A, req.max_m)
-    cache = FactorizationCache(A)
-
-    samples = np.empty(req.num_probes)
-    group_histories = []
-    iterations = 0
-    converged = True
-    start = 0
-    while start < req.num_probes:
-        count = min(req.block_size, req.num_probes - start)
-        Z = rademacher_block(n, req.seed, start, count)
-        proc = ArnoldiProcess(A, Z, shifts, req.max_m, solver_cache=cache)
-        history = []
-
-        def value_now(J):
-            M = matfun_first_cols(J, req.f, count)[:count, :]
-            M = proc.R0.T @ M @ proc.R0
-            return 0.5 * (M + M.T)
-
-        stopped = False
-        while proc.j < req.max_m and proc.terminated is None:
-            if not proc.step():
-                # invariant subspace: the full current projection is exact
-                history.append(value_now(proc.J_full_view))
-                stopped = True
-                break
-            history.append(value_now(proc.J_view))
-            if len(history) > req.s:
-                cur, prev = history[-1], history[-1 - req.s]
-                denom = np.linalg.norm(cur, "fro")
-                diff = np.linalg.norm(cur - prev, "fro")
-                if (diff <= req.tol * denom if denom else diff <= req.tol):
-                    stopped = True
-                    break
-
-        samples[start:start + count] = np.diag(history[-1])
-        group_histories.append(
-            np.array([float(np.mean(np.diag(M))) for M in history]))
-        iterations = max(iterations, proc.j)
-        converged = converged and stopped
-        start += count
-
-    depth = max(len(h) for h in group_histories)
-    comb = np.empty(depth)
-    for j in range(depth):
-        comb[j] = float(np.mean([h[min(j, len(h) - 1)] for h in group_histories]))
-    estimate = float(np.mean(samples))
-    stderr = (float(np.std(samples, ddof=1) / math.sqrt(req.num_probes))
-              if req.num_probes > 1 else float("nan"))
-    return TraceResult(estimate=estimate, samples=samples, stderr=stderr,
-                       history=comb, group_histories=group_histories,
-                       iterations=iterations, converged=converged)
+    return _hutchinson_trace(A, req, arnoldi_run)

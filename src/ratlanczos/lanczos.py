@@ -101,6 +101,16 @@ class RecurrenceState:
         return None if self.side is None else self.side[:self.j]
 
 
+def _as_side_matrix(side_matrix, n):
+    """The side matrix U as an (n, k) float array."""
+    U = np.asarray(side_matrix, dtype=float)
+    if U.ndim == 1:
+        U = U.reshape(-1, 1)
+    if U.shape[0] != n:
+        raise DimensionError("side matrix row count mismatch")
+    return U
+
+
 def init_state(A: SparseSym, v, m_max, side_matrix=None, retain_basis=False):
     """Normalize the start vector and allocate the recurrence state."""
     v = np.asarray(v, dtype=float)
@@ -124,11 +134,7 @@ def init_state(A: SparseSym, v, m_max, side_matrix=None, retain_basis=False):
     st.Aqbar = np.zeros(A.n)
     st.J = np.zeros((m_max, m_max))
     if side_matrix is not None:
-        U = np.asarray(side_matrix, dtype=float)
-        if U.ndim == 1:
-            U = U.reshape(-1, 1)
-        if U.shape[0] != A.n:
-            raise DimensionError("side matrix row count mismatch")
+        U = _as_side_matrix(side_matrix, A.n)
         st.side = np.zeros((m_max + 1, U.shape[1]))
         st.side[0] = qhat @ U
         st._side_matrix = U
@@ -276,7 +282,9 @@ def run(A: SparseSym, v, shifts, m, side_matrix=None, retain_basis=False,
         Columns U whose projections q_j^T U are accumulated on the fly.
     callback : callable, optional
         Called with the state after every step; returning True stops the
-        run with termination "converged".
+        run with termination "converged".  A lucky breakdown ends the run
+        after one last call on the final, exact state, whose return is
+        ignored.
     retain_basis : bool
         Keep all basis vectors (diagnostics mode only; defeats the point
         of the short recurrence).
@@ -304,11 +312,26 @@ def run(A: SparseSym, v, shifts, m, side_matrix=None, retain_basis=False,
                      check=check_invariants)
         if state.breakdown is not None:
             termination = TERM_LUCKY_BREAKDOWN
+            if callback is not None:
+                callback(state)
             break
         if callback is not None and callback(state):
             termination = TERM_CONVERGED
             break
     return _finalize(state, termination, time.perf_counter() - t0)
+
+
+def lag_converged(history, s, tol):
+    """Lag-s relative stopping rule: the newest iterate differs from the
+    one s steps back by at most ``tol`` relative to the newest, or by at
+    most ``tol`` absolutely when the newest is zero.  Array iterates are
+    compared in the Frobenius norm."""
+    if len(history) <= s:
+        return False
+    cur, prev = history[-1], history[-1 - s]
+    norm = np.linalg.norm if np.ndim(cur) else abs
+    size, diff = norm(cur), norm(cur - prev)
+    return diff <= tol * size if size else diff <= tol
 
 
 def _finalize(state, termination, elapsed):
@@ -358,15 +381,6 @@ def assemble_HK(result: LanczosResult):
     Kbar[:m, :m] = np.eye(m)
     Kbar += sig_rows[:, None] * Hbar
     return Hbar, Kbar
-
-
-def solve_K_columns(state: RecurrenceState):
-    """Current solutions (y_j, t_j) of K_j y = e_j and K_j^T t = e_j."""
-    if state.j < 1:
-        raise RuntimeError("no completed steps")
-    if abs(state.omega[state.j]) == 0.0:
-        raise SingularKError("running triangular factor is singular")
-    return state.y_view.copy(), state.t_view.copy()
 
 
 def _assemble_K_square(state):

@@ -281,14 +281,6 @@ def shifted_factorize(A: SparseSym, xi: Shift, method: str = "auto") -> ShiftedF
     return ShiftedFactorization(xi, method, n, cg_solve, apply_op=apply_op)
 
 
-def shifted_solve_multi(F: ShiftedFactorization, B):
-    """Solve (I - A/xi) X = B for an (n, k) block against one factorization."""
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[1] < 1:
-        raise DimensionError("expected an (n, k) block with k >= 1")
-    return F.solve(B)
-
-
 class FactorizationCache:
     """Cache of shifted factorizations keyed by pole value.
 

@@ -81,6 +81,9 @@ class SparseSym:
         return self._mat.data
 
     def matvec(self, x):
+        """y = A x, accumulated in the canonical CSR order (row-major,
+        ascending column index within each row), so repeated calls are
+        bit-reproducible."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionError(
@@ -129,15 +132,6 @@ def _check_symmetric(mat):
         raise SymmetryError(
             "matrix is not symmetric: entry ({}, {}) differs from its "
             "transpose by {:.3e}".format(diff.row[i], diff.col[i], diff.data[i]))
-
-
-def spmv(A: SparseSym, x):
-    """Sparse symmetric matrix-vector product y = A x.
-
-    Accumulation order is the canonical CSR one (row-major, ascending
-    column index within each row), so repeated calls are bit-reproducible.
-    """
-    return A.matvec(x)
 
 
 def power_iteration(A: SparseSym, steps: int = 20, seed: int = 0):

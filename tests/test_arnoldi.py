@@ -99,3 +99,42 @@ def test_timings_recorded(rng):
     ar = arnoldi_run(A, v, rand_shifts(rng, 4, 1.0, 5.0), 4)
     assert ar.timings.shape == (4,)
     assert np.all(ar.timings >= 0.0)
+
+
+def test_start_factor_and_side_projections(rng):
+    n, p, m = 50, 2, 4
+    A, _ = rand_sym(rng, n, 1.0, 8.0)
+    V = rng.standard_normal((n, p))
+    U = rng.standard_normal((n, 3))
+    seen = []
+
+    def cb(proc):
+        seen.append(proc.side_view.shape)
+
+    ar = arnoldi_run(A, V, rand_shifts(rng, m, 1.0, 8.0), m, callback=cb,
+                     side_matrix=U)
+    assert np.abs(ar.Q[:, :p] @ ar.R0 - V).max() <= 1e-13 * np.abs(V).max()
+    assert np.abs(ar.side_projections - ar.Q.T @ U).max() <= 1e-14 * n
+    # the callback sees the rows of the first j blocks after step j
+    assert seen == [(j * p, 3) for j in range(1, m + 1)]
+
+
+def test_lucky_breakdown_views_cover_stored_blocks():
+    # span{e_0 + e_1} grows to the invariant span{e_0, e_1}: the second
+    # expansion breaks down with both stored columns in the projection
+    import ratlanczos as rl
+    A = rl.SparseSym.from_dense(np.diag([1.0, 2.0, 3.0]),
+                                definiteness_hint="positive")
+    v = np.array([1.0, 1.0, 0.0])
+    U = np.eye(3)[:, :1]
+    widths = []
+
+    def cb(proc):
+        widths.append((proc.J_view.shape, proc.side_view.shape))
+        return False
+
+    ar = arnoldi_run(A, v, rl.ShiftSequence([-1.0, -2.0, -3.0]), 3,
+                     callback=cb, side_matrix=U)
+    assert ar.termination == "lucky-breakdown" and ar.m == 1
+    assert widths == [((1, 1), (1, 1)), ((2, 2), (2, 1))]
+    assert np.allclose(np.linalg.eigvalsh(ar.J), [1.0, 2.0], atol=1e-13)

@@ -3,8 +3,9 @@ import pytest
 
 from ratlanczos import (Shift, ShiftError, ShiftSequence, SparseSym,
                         assemble_HK, diagnostics, init_state, lanczos_step,
-                        run, solve_K_columns)
-from ratlanczos.lanczos import TERM_LUCKY_BREAKDOWN, TERM_MAX_ITERATIONS
+                        run)
+from ratlanczos.lanczos import (TERM_LUCKY_BREAKDOWN, TERM_MAX_ITERATIONS,
+                                lag_converged)
 
 from conftest import rand_shifts, rand_sym, reference_lanczos
 
@@ -164,10 +165,10 @@ def test_solve_K_columns_first_steps(rng):
     v = rng.standard_normal(20)
     st = init_state(A, v, 3)
     lanczos_step(A, st, Shift(-2.0))
-    y, t = solve_K_columns(st)
+    y, t = st.y_view, st.t_view
     assert np.array_equal(y, [1.0]) and np.array_equal(t, [1.0])
     lanczos_step(A, st, Shift(-3.0))
-    y, t = solve_K_columns(st)
+    y, t = st.y_view, st.t_view
     # the leading pole is conceptually infinite, so y_2 = (0, 1/omega_2)
     assert y[0] == 0.0
     assert abs(y[1] - 1.0 / st.omega[2]) <= 1e-15
@@ -185,7 +186,7 @@ def test_solve_K_columns_vs_assembled_solve(rng):
     ej[-1] = 1.0
     y_ref = np.linalg.solve(K, ej)
     t_ref = np.linalg.solve(K.T, ej)
-    y, t = solve_K_columns(st)
+    y, t = st.y_view, st.t_view
     scale = max(np.abs(y_ref).max(), 1.0)
     assert np.abs(y - y_ref).max() <= 1e-13 * scale
     assert np.abs(t - t_ref).max() <= 1e-13 * max(np.abs(t_ref).max(), 1.0)
@@ -222,3 +223,19 @@ def test_max_iterations_termination(rng):
     v = rng.standard_normal(30)
     res = run(A, v, rand_shifts(rng, 3, 1.0, 5.0), 3)
     assert res.termination == TERM_MAX_ITERATIONS
+
+
+@pytest.mark.parametrize("history, s, expected", [
+    ([1.0], 1, False),                                  # no lagged iterate yet
+    ([1.0, 1.0 + 5e-9], 1, True),                       # scalar, relative
+    ([1.0, 1.0 + 5e-8], 1, False),
+    ([1.0, 3.0, 1.0 + 5e-9], 2, True),                  # lag 2 skips the middle
+    ([1.0, 1.0 + 5e-9, 3.0], 2, False),
+    ([np.eye(2), (1.0 + 5e-9) * np.eye(2)], 1, True),   # block, Frobenius
+    ([np.eye(2), np.eye(2) + 1e-7], 1, False),
+    ([5e-9, 0.0], 1, True),                             # zero iterate: absolute
+    ([5e-8, 0.0], 1, False),
+    ([np.full((2, 2), 4e-9), np.zeros((2, 2))], 1, True),
+])
+def test_lag_converged(history, s, expected):
+    assert lag_converged(history, s, 1e-8) == expected

@@ -4,7 +4,7 @@ import pytest
 import ratlanczos.shifts as shifts_mod
 from ratlanczos import (INFINITY, FactorizationCache, IndefiniteShiftError,
                         Shift, ShiftError, ShiftSequence, SparseSym,
-                        default_shifts, shifted_factorize, shifted_solve_multi)
+                        default_shifts, shifted_factorize)
 from ratlanczos.problems import gen_laplacian2d, gen_strakos
 
 from conftest import rand_sym
@@ -51,7 +51,7 @@ def test_multi_rhs_solve(method, rng):
     xi = Shift(5.0)
     F = shifted_factorize(A, xi, method=method)
     B = rng.standard_normal((100, 2))
-    X = shifted_solve_multi(F, B)
+    X = F.solve(B)
     M = np.eye(100) - A.to_dense() / 5.0
     for k in range(2):
         assert np.linalg.norm(M @ X[:, k] - B[:, k]) <= 1e-12 * np.linalg.norm(B[:, k])

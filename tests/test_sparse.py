@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ratlanczos import DimensionError, SparseSym, SymmetryError, norm_estimate, spmv
+from ratlanczos import DimensionError, SparseSym, SymmetryError, norm_estimate
 from ratlanczos.problems import gen_laplacian2d
 
 from conftest import rand_sym
@@ -9,20 +9,20 @@ from conftest import rand_sym
 
 def test_spmv_diagonal():
     A = SparseSym.from_dense(np.diag([1.0, 2.0, 3.0]))
-    assert np.array_equal(spmv(A, np.ones(3)), np.array([1.0, 2.0, 3.0]))
+    assert np.array_equal(A.matvec(np.ones(3)), np.array([1.0, 2.0, 3.0]))
 
 
 def test_spmv_unit_vector_extracts_column():
     A = gen_laplacian2d(3)
     e5 = np.zeros(9)
     e5[5] = 1.0
-    assert np.array_equal(spmv(A, e5), A.to_dense()[:, 5])
+    assert np.array_equal(A.matvec(e5), A.to_dense()[:, 5])
 
 
 def test_spmv_matches_dense_oracle(rng):
     A, Ad = rand_sym(rng, 50, 0.5, 10.0)
     x = rng.standard_normal(50)
-    y = spmv(A, x)
+    y = A.matvec(x)
     tol = 1e-14 * np.linalg.norm(Ad, 2) * np.linalg.norm(x)
     assert np.linalg.norm(y - Ad @ x) <= tol
 
@@ -30,7 +30,7 @@ def test_spmv_matches_dense_oracle(rng):
 def test_spmv_dimension_mismatch():
     A = SparseSym.from_dense(np.eye(3))
     with pytest.raises(DimensionError):
-        spmv(A, np.ones(4))
+        A.matvec(np.ones(4))
 
 
 def test_asymmetric_rejected():
@@ -72,6 +72,6 @@ def test_norm_estimate_close(rng):
 def test_spmv_bit_reproducible(rng):
     A, _ = rand_sym(rng, 40, 0.5, 10.0)
     x = rng.standard_normal(40)
-    y1 = spmv(A, x)
-    y2 = spmv(A, x)
+    y1 = A.matvec(x)
+    y2 = A.matvec(x)
     assert np.array_equal(y1, y2)
