@@ -15,10 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .dense import qr_thin
-from .errors import RankDeficiencyError, ShiftError
-from .lanczos import (TERM_CONVERGED, TERM_LUCKY_BREAKDOWN, TERM_MAX_ITERATIONS,
-                      _as_side_matrix)
-from .shifts import FactorizationCache, ShiftSequence
+from .errors import RankDeficiencyError
+from .lanczos import _as_side_matrix, _drive
 from .sparse import SparseSym
 
 _EPS = float(np.finfo(float).eps)
@@ -60,26 +58,19 @@ class ArnoldiResult:
 
 
 class ArnoldiProcess:
-    """Incremental rational Arnoldi; drives one solve-and-orthogonalize
-    iteration at a time so callers can evaluate stopping rules."""
+    """Incremental rational Arnoldi with room for m iterations; ``step``
+    makes one solve-and-orthogonalize iteration at a time so callers can
+    evaluate stopping rules."""
 
-    def __init__(self, A: SparseSym, V, shifts, m, solver_cache=None,
-                 solve_method="auto", side_matrix=None):
-        if not isinstance(shifts, ShiftSequence):
-            shifts = ShiftSequence(shifts)
-        if len(shifts) < m:
-            raise ShiftError(f"{len(shifts)} poles supplied for m = {m} iterations")
-        shifts.check_sign_against(A)
+    def __init__(self, A: SparseSym, V, m, side_matrix=None):
         V = np.asarray(V, dtype=float)
         if V.ndim == 1:
             V = V.reshape(-1, 1)
         n, p = V.shape
         self.A = A
-        self.shifts = shifts
         self.m_max = m
         self.p = p
         self.n = n
-        self.cache = solver_cache or FactorizationCache(A, method=solve_method)
         self.Q = np.zeros((n, (m + 1) * p))
         self.W = np.zeros((n, (m + 1) * p))          # A Q, grown with Q
         self.J = np.zeros(((m + 1) * p, (m + 1) * p))
@@ -88,7 +79,7 @@ class ArnoldiProcess:
         self.orth_trace = []
         self.timings = []
         self.j = 0
-        self.terminated = None
+        self.breakdown = None
         self.shifts_used = []
         self.side_matrix = (None if side_matrix is None
                             else _as_side_matrix(side_matrix, n))
@@ -106,18 +97,20 @@ class ArnoldiProcess:
         self.J[:k + p, k:k + p] = self.Q[:, :k + p].T @ Wnew
         self.J[k:k + p, :k] = self.J[:k, k:k + p].T
 
-    def step(self):
-        """One iteration: shifted solve, CGS2 orthogonalization, QR."""
-        if self.terminated is not None:
-            raise RuntimeError("process already terminated")
+    def step(self, xi, factorization):
+        """One iteration on pole xi: shifted solve with ``factorization``
+        (of I - A/xi), CGS2 orthogonalization, QR.  A new block that
+        collapses sets ``breakdown`` to the step number: the stored blocks
+        then span an invariant subspace."""
+        if self.breakdown is not None:
+            raise RuntimeError(f"process already terminated at step {self.breakdown}")
         if self.j >= self.m_max:
             raise RuntimeError("iteration budget exhausted")
         t0 = time.perf_counter()
         j, p = self.j, self.p
-        xi = self.shifts[j]
         k = j * p
         Qj = self.Q[:, k:k + p]
-        Wnew = self.cache.get(xi).solve(Qj)
+        Wnew = factorization.solve(Qj)
 
         Qact = self.Q[:, :k + p]
         h1 = Qact.T @ Wnew
@@ -134,9 +127,9 @@ class ArnoldiProcess:
             except RankDeficiencyError:
                 lucky = True
         if lucky:
-            self.terminated = TERM_LUCKY_BREAKDOWN
+            self.breakdown = j + 1
             self.timings.append(time.perf_counter() - t0)
-            return False
+            return
 
         # relation columns: (I - A/xi)^-1 q_j = sum_i q_i h_i implies
         # A (Q hcol_full) / xi = Q hcol_full - q_j
@@ -153,15 +146,13 @@ class ArnoldiProcess:
         G = self.Q[:, :self.j * p + p].T @ self.Q[:, :self.j * p + p]
         self.orth_trace.append(np.linalg.norm(np.eye(G.shape[0]) - G, 2))
         self.timings.append(time.perf_counter() - t0)
-        return True
 
     @property
     def _width(self):
         """Columns of the current projection: the first j blocks, or all
         j + 1 stored blocks once a lucky breakdown has made them span an
         invariant subspace."""
-        lucky = self.terminated == TERM_LUCKY_BREAKDOWN
-        blocks = self.j + 1 if lucky else self.j
+        blocks = self.j if self.breakdown is None else self.j + 1
         return blocks * self.p
 
     @property
@@ -178,7 +169,7 @@ class ArnoldiProcess:
             return None
         return self.Q[:, :self._width].T @ self.side_matrix
 
-    def result(self, termination=None):
+    def result(self, termination, elapsed):
         jp = (self.j + 1) * self.p
         side = None
         if self.side_matrix is not None:
@@ -190,17 +181,18 @@ class ArnoldiProcess:
             J=self.J[:jp, :jp].copy(),
             p=self.p,
             m=self.j,
-            termination=termination or self.terminated or TERM_MAX_ITERATIONS,
+            termination=termination,
             shifts=tuple(self.shifts_used),
             orth_trace=np.array(self.orth_trace),
             timings=np.array(self.timings),
             R0=self.R0,
             side_projections=side,
+            elapsed=elapsed,
         )
 
 
 def arnoldi_run(A: SparseSym, V, shifts, m, callback=None, solver_cache=None,
-                solve_method="auto", side_matrix=None) -> ArnoldiResult:
+                side_matrix=None) -> ArnoldiResult:
     """Run m rational Arnoldi iterations from v (or an n x p block).
 
     ``callback(process)`` is evaluated after every iteration; returning
@@ -208,19 +200,7 @@ def arnoldi_run(A: SparseSym, V, shifts, m, callback=None, solver_cache=None,
     ends the run after one last call, whose return is ignored, with
     ``J_view`` and ``side_view`` covering every stored block.
     """
-    t0 = time.perf_counter()
-    proc = ArnoldiProcess(A, V, shifts, m, solver_cache=solver_cache,
-                          solve_method=solve_method, side_matrix=side_matrix)
-    termination = TERM_MAX_ITERATIONS
-    while proc.j < m:
-        if not proc.step():
-            termination = proc.terminated
-            if callback is not None:
-                callback(proc)
-            break
-        if callback is not None and callback(proc):
-            termination = TERM_CONVERGED
-            break
-    res = proc.result(termination)
-    res.elapsed = time.perf_counter() - t0
-    return res
+    proc, termination, elapsed = _drive(
+        A, shifts, m, lambda: ArnoldiProcess(A, V, m, side_matrix=side_matrix),
+        ArnoldiProcess.step, callback, solver_cache)
+    return proc.result(termination, elapsed)

@@ -7,7 +7,6 @@ system requires it; the p = 1 case reduces exactly to the scalar
 recurrence.
 """
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -15,11 +14,9 @@ import numpy as np
 
 from .dense import qr_thin
 from .errors import (AlphaBreakdownError, DeflationNeededError, DimensionError,
-                     RankDeficiencyError, ShiftError, SingularKError)
-from .lanczos import (TERM_CONVERGED, TERM_LUCKY_BREAKDOWN,
-                      TERM_MAX_ITERATIONS, TERM_SPACE_EXHAUSTED,
-                      _as_side_matrix)
-from .shifts import FactorizationCache, Shift, ShiftSequence, shifted_factorize
+                     RankDeficiencyError, SingularKError)
+from .lanczos import _as_side_matrix, _drive
+from .shifts import Shift, shifted_factorize
 from .sparse import SparseSym
 
 _EPS = float(np.finfo(float).eps)
@@ -115,6 +112,8 @@ def block_lanczos_step(A: SparseSym, state: BlockRecurrenceState, xi: Shift,
     subspace: the run terminates as a lucky breakdown with the current
     projection final.  A partially rank-deficient block would require
     deflation, which is not implemented, so it raises DeflationNeededError.
+    So does a new block that does not fit in the directions left when p
+    does not divide n, whether or not its QR factor shows the rank loss.
     """
     if state.breakdown is not None:
         raise RuntimeError(f"recurrence already terminated at step {state.breakdown}")
@@ -165,7 +164,7 @@ def block_lanczos_step(A: SparseSym, state: BlockRecurrenceState, xi: Shift,
             # every direction collapsed: the subspace is invariant
             lucky = True
             beta_j = np.zeros((p, p))
-        elif np.any(dead):
+        elif np.any(dead) or (j + 1) * p > state.n:
             raise DeflationNeededError(
                 f"normalization block numerically rank deficient at step {j}; "
                 "deflation is not supported",
@@ -272,44 +271,20 @@ class BlockLanczosResult:
 
 
 def block_run(A: SparseSym, V, shifts, m, side_matrix=None, retain_basis=False,
-              callback=None, solver_cache=None, solve_method="auto",
+              callback=None, solver_cache=None,
               check_invariants=False) -> BlockLanczosResult:
     """Run up to m block steps from the n x p start block V.
 
     V must have full numerical column rank.  See the scalar ``run`` for
     the meaning of the remaining arguments.
     """
-    if not isinstance(shifts, ShiftSequence):
-        shifts = ShiftSequence(shifts)
-    if len(shifts) < m:
-        raise ShiftError(f"{len(shifts)} poles supplied for m = {m} steps")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    shifts.check_sign_against(A)
-    if solver_cache is None:
-        solver_cache = FactorizationCache(A, method=solve_method)
-
-    t0 = time.perf_counter()
-    state = block_init_state(A, V, m, side_matrix=side_matrix,
-                             retain_basis=retain_basis)
-    termination = TERM_MAX_ITERATIONS
-    for k in range(m):
-        if (state.j + 1) * state.p > A.n:
-            # the block basis already spans the whole space
-            termination = TERM_SPACE_EXHAUSTED
-            break
-        xi = shifts[k]
-        block_lanczos_step(A, state, xi, factorization=solver_cache.get(xi),
-                           check=check_invariants)
-        if state.breakdown is not None:
-            termination = TERM_LUCKY_BREAKDOWN
-            if callback is not None:
-                callback(state)
-            break
-        if callback is not None and callback(state):
-            termination = TERM_CONVERGED
-            break
-    return _block_finalize(state, termination, time.perf_counter() - t0)
+    return _block_finalize(*_drive(
+        A, shifts, m,
+        lambda: block_init_state(A, V, m, side_matrix=side_matrix,
+                                 retain_basis=retain_basis),
+        lambda state, xi, fact: block_lanczos_step(A, state, xi, fact,
+                                                   check=check_invariants),
+        callback, solver_cache))
 
 
 def _block_finalize(state, termination, elapsed):

@@ -21,7 +21,7 @@ from . import __version__
 from .control import (LtiSystem, ParametricIO, eval_control, h2_norm,
                       h2_norm_arnoldi, h2_param_norm, lqr_reduce,
                       lqr_reduce_arnoldi, system_from_descriptor)
-from .dense import matfun_action_e1
+from .dense import _eval_on_spectrum, matfun_action_e1
 from .errors import RatLanczosError
 from .forms import (FormRequest, TraceRequest, bilinear_form, gp_precision_matrix,
                     hutchinson_trace, hutchinson_trace_arnoldi, quad_form,
@@ -126,6 +126,49 @@ def _matrix_from_args(args):
     raise ValueError("no operator: pass --matrix or --gen")
 
 
+def _run_compared(args, outdir, name, header, rows, summary, pipeline, twin):
+    """Run ``pipeline()``, write ``<name>.csv`` from ``rows(result)`` and
+    collect ``summary(result)`` with the wall time.  Under ``--compare``
+    the full-basis ``twin()`` goes through the same two functions into
+    ``<name>_arnoldi.csv`` and ``results["arnoldi"]``; a string ``twin``
+    says why there is none and is recorded as a note.
+
+    Returns (result, twin result or None, results).
+    """
+    def one(call, csv_name):
+        t0 = time.perf_counter()
+        res = call()
+        wall = time.perf_counter() - t0
+        write_csv(outdir / csv_name, name, header, rows(res))
+        return res, {**summary(res), "wall_time_s": wall}
+
+    res, results = one(pipeline, f"{name}.csv")
+    ares = None
+    if args.compare:
+        if isinstance(twin, str):
+            results["arnoldi"] = {"note": twin}
+        else:
+            ares, results["arnoldi"] = one(twin, f"{name}_arnoldi.csv")
+    return res, ares, results
+
+
+def _status(res):
+    """Iteration count and stopping status of a pipeline result."""
+    return {"iterations": res.iterations, "converged": res.converged,
+            "termination": "converged" if res.converged else "max-iterations"}
+
+
+def _rel_change_rows(history, s):
+    """(iteration, value, change relative to the value s steps back)."""
+    rows = []
+    for j, val in enumerate(history, start=1):
+        rel = math.nan
+        if j - 1 >= s and val != 0.0:
+            rel = abs(val - history[j - 1 - s]) / abs(val)
+        rows.append((j, val, rel))
+    return rows
+
+
 def _unit_vector(n, index=None, seed=0):
     if index is not None:
         v = np.zeros(n)
@@ -155,51 +198,35 @@ def cmd_biform(args):
     oracle = None
     if args.oracle == "dense" or (args.oracle == "auto" and n <= 2000):
         lam, V = np.linalg.eigh(A.to_dense())
-        from .dense import _eval_on_spectrum
         flam = _eval_on_spectrum(lam, args.f)
         oracle = float((V.T @ u) @ (flam * (V.T @ v)))
 
-    t0 = time.perf_counter()
-    if strategy == "quadratic":
-        res = quad_form(A, v, shifts, req)
-        history = res.history
-        bounds = res.residual_bounds
-        value, iters, term = res.value, res.iterations, res.termination
-    else:
-        res = bilinear_form(A, u, v, shifts, req)
-        history = res.history if res.history is not None else np.array([res.value])
-        bounds = np.full(len(history), math.nan)
-        value, iters, term = res.value, res.iterations, strategy
-    wall = time.perf_counter() - t0
-
-    rows = []
-    for j, val in enumerate(history, start=1):
-        err = math.nan if oracle is None else abs(val - oracle)
-        b = bounds[j - 1] if j - 1 < len(bounds) else math.nan
-        rows.append((j, val, err, b))
-    write_csv(outdir / "biform.csv", "biform",
-              ["iteration", "value", "error_vs_oracle", "residual_bound"], rows)
-
-    results = {"value": value, "iterations": iters, "termination": str(term),
-               "oracle": oracle, "wall_time_s": wall,
-               "default_shifts_used": shifts is None}
-    if args.compare:
+    def rows(res):
         if strategy == "quadratic":
-            t0 = time.perf_counter()
-            ares = quad_form_arnoldi(A, v, shifts, req)
-            rows = []
-            for j, val in enumerate(ares.history, start=1):
-                err = math.nan if oracle is None else abs(val - oracle)
-                rows.append((j, val, err, math.nan))
-            write_csv(outdir / "biform_arnoldi.csv", "biform",
-                      ["iteration", "value", "error_vs_oracle",
-                       "residual_bound"], rows)
-            results["arnoldi"] = {"value": ares.value,
-                                  "iterations": ares.iterations,
-                                  "wall_time_s": time.perf_counter() - t0}
+            history, bounds = res.history, res.residual_bounds
         else:
-            results["arnoldi"] = {
-                "note": "comparison implemented for the quadratic strategy"}
+            history = res.history if res.history is not None else [res.value]
+            bounds = ()
+        return [(j, val, math.nan if oracle is None else abs(val - oracle),
+                 bounds[j - 1] if j - 1 < len(bounds) else math.nan)
+                for j, val in enumerate(history, start=1)]
+
+    def summary(res):
+        term = res.termination if strategy == "quadratic" else strategy
+        return {"value": res.value, "iterations": res.iterations,
+                "termination": str(term), "oracle": oracle,
+                "default_shifts_used": shifts is None}
+
+    if strategy == "quadratic":
+        pipeline = lambda: quad_form(A, v, shifts, req)
+        twin = lambda: quad_form_arnoldi(A, v, shifts, req)
+    else:
+        pipeline = lambda: bilinear_form(A, u, v, shifts, req)
+        twin = "comparison implemented for the quadratic strategy"
+    _, _, results = _run_compared(
+        args, outdir, "biform",
+        ["iteration", "value", "error_vs_oracle", "residual_bound"],
+        rows, summary, pipeline, twin)
     write_summary(outdir / "biform.json", "biform", vars(args), results)
     return 0
 
@@ -215,31 +242,21 @@ def cmd_trace(args):
     oracle = None
     if args.oracle == "dense" or (args.oracle == "auto" and args.n <= 2000):
         lam = np.linalg.eigvalsh(A.to_dense())
-        from .dense import _eval_on_spectrum
         oracle = float(np.sum(_eval_on_spectrum(lam, args.f)))
 
-    t0 = time.perf_counter()
-    tr = hutchinson_trace(A, req)
-    wall = time.perf_counter() - t0
-    rows = [(j, est, math.nan if oracle is None else abs(est - oracle))
-            for j, est in enumerate(tr.history, start=1)]
-    write_csv(outdir / "trace.csv", "trace",
-              ["iteration", "estimate", "error_vs_oracle"], rows)
-    results = {"estimate": tr.estimate, "stderr": tr.stderr,
-               "iterations": tr.iterations, "converged": tr.converged,
-               "termination": "converged" if tr.converged else "max-iterations",
-               "nnz": A.nnz, "oracle": oracle, "wall_time_s": wall,
-               "default_shifts_used": shifts is None}
-    if args.compare:
-        t0 = time.perf_counter()
-        ta = hutchinson_trace_arnoldi(A, req)
-        rows = [(j, est, math.nan if oracle is None else abs(est - oracle))
-                for j, est in enumerate(ta.history, start=1)]
-        write_csv(outdir / "trace_arnoldi.csv", "trace",
-                  ["iteration", "estimate", "error_vs_oracle"], rows)
-        results["arnoldi"] = {"estimate": ta.estimate,
-                              "iterations": ta.iterations,
-                              "wall_time_s": time.perf_counter() - t0}
+    def rows(tr):
+        return [(j, est, math.nan if oracle is None else abs(est - oracle))
+                for j, est in enumerate(tr.history, start=1)]
+
+    def summary(tr):
+        return {"estimate": tr.estimate, "stderr": tr.stderr, **_status(tr),
+                "nnz": A.nnz, "oracle": oracle,
+                "default_shifts_used": shifts is None}
+
+    _, _, results = _run_compared(
+        args, outdir, "trace", ["iteration", "estimate", "error_vs_oracle"],
+        rows, summary, lambda: hutchinson_trace(A, req),
+        lambda: hutchinson_trace_arnoldi(A, req))
     write_summary(outdir / "trace.json", "trace", vars(args), results)
     return 0
 
@@ -258,32 +275,15 @@ def cmd_h2(args):
     else:
         raise ValueError("pass --descriptor or --demo")
     shifts = parse_shifts(args.shifts, args.max_m)
-    t0 = time.perf_counter()
-    res = h2_norm(sys_, shifts, tol=args.tol, s=args.s, max_m=args.max_m)
-    wall = time.perf_counter() - t0
-    rows = []
-    for j, val in enumerate(res.history, start=1):
-        rel = math.nan
-        if j - 1 >= args.s and val != 0.0:
-            rel = abs(val - res.history[j - 1 - args.s]) / abs(val)
-        rows.append((j, val, rel))
-    write_csv(outdir / "h2.csv", "h2", ["iteration", "norm", "rel_change"], rows)
-    results = {"norm": res.norm, "iterations": res.iterations,
-               "converged": res.converged,
-               "termination": "converged" if res.converged else "max-iterations",
-               "seeded_with": res.seeded_with,
-               "default_shifts_used": res.default_shifts_used,
-               "wall_time_s": wall}
-    if args.compare:
-        t0 = time.perf_counter()
-        ares = h2_norm_arnoldi(sys_, shifts, tol=args.tol, s=args.s,
-                               max_m=args.max_m)
-        rows = [(j, val, math.nan) for j, val in enumerate(ares.history, 1)]
-        write_csv(outdir / "h2_arnoldi.csv", "h2",
-                  ["iteration", "norm", "rel_change"], rows)
-        results["arnoldi"] = {"norm": ares.norm,
-                              "iterations": ares.iterations,
-                              "wall_time_s": time.perf_counter() - t0}
+    _, _, results = _run_compared(
+        args, outdir, "h2", ["iteration", "norm", "rel_change"],
+        lambda res: _rel_change_rows(res.history, args.s),
+        lambda res: {"norm": res.norm, **_status(res),
+                     "seeded_with": res.seeded_with,
+                     "default_shifts_used": res.default_shifts_used},
+        lambda: h2_norm(sys_, shifts, tol=args.tol, s=args.s, max_m=args.max_m),
+        lambda: h2_norm_arnoldi(sys_, shifts, tol=args.tol, s=args.s,
+                                max_m=args.max_m))
     write_summary(outdir / "h2.json", "h2", vars(args), results)
     return 0
 
@@ -338,25 +338,15 @@ def cmd_h2param(args):
                        c=_named_param_form(args.c_form, C1.shape[0]),
                        nodes=list(nodes), weights=weights)
     shifts = parse_shifts(args.shifts, args.max_m)
-    t0 = time.perf_counter()
-    res = h2_param_norm(A, pio, shifts, tol=args.tol, s=args.s,
-                        max_m=args.max_m)
-    wall = time.perf_counter() - t0
-    rows = []
-    for j, val in enumerate(res.history, start=1):
-        rel = math.nan
-        if j - 1 >= args.s and val != 0.0:
-            rel = abs(val - res.history[j - 1 - args.s]) / abs(val)
-        rows.append((j, val, rel))
-    write_csv(outdir / "h2param.csv", "h2param",
-              ["iteration", "norm", "rel_change"], rows)
-    write_summary(outdir / "h2param.json", "h2param", vars(args),
-                  {"norm": res.norm, "iterations": res.iterations,
-                   "converged": res.converged,
-                   "termination": "converged" if res.converged else "max-iterations",
-                   "nodes": list(nodes),
-                   "default_shifts_used": res.default_shifts_used,
-                   "wall_time_s": wall})
+    _, _, results = _run_compared(
+        args, outdir, "h2param", ["iteration", "norm", "rel_change"],
+        lambda res: _rel_change_rows(res.history, args.s),
+        lambda res: {"norm": res.norm, **_status(res), "nodes": list(nodes),
+                     "default_shifts_used": res.default_shifts_used},
+        lambda: h2_param_norm(A, pio, shifts, tol=args.tol, s=args.s,
+                              max_m=args.max_m),
+        "no full-basis twin for the parametric H2 norm")
+    write_summary(outdir / "h2param.json", "h2param", vars(args), results)
     return 0
 
 
@@ -386,25 +376,18 @@ def cmd_lqr(args):
     outdir = resolve_outdir(args)
     sys_ = lqr_system(args.nbar, scaling=args.scaling)
     shifts = parse_shifts(args.shifts, args.max_m)
-    t0 = time.perf_counter()
-    res = lqr_reduce(sys_, shifts, tol=args.tol, s=args.s, max_m=args.max_m)
-    wall = time.perf_counter() - t0
-    rows = [(j, met) for j, met in enumerate(res.metric_history, start=1)]
-    write_csv(outdir / "lqr.csv", "lqr", ["iteration", "l2_metric"], rows)
     tsamples = [0.0, 0.1, 1.0]
-    results = {"iterations": res.iterations, "converged": res.converged,
-               "termination": "converged" if res.converged else "max-iterations",
-               "default_shifts_used": res.default_shifts_used,
-               "u_samples": {str(t): eval_control(res.controller, t).tolist()
-                             for t in tsamples},
-               "wall_time_s": wall}
-    if args.compare:
-        t0 = time.perf_counter()
-        ares = lqr_reduce_arnoldi(sys_, shifts, tol=args.tol, s=args.s,
-                                  max_m=args.max_m)
-        rows = [(j, met) for j, met in enumerate(ares.metric_history, start=1)]
-        write_csv(outdir / "lqr_arnoldi.csv", "lqr",
-                  ["iteration", "l2_metric"], rows)
+    res, ares, results = _run_compared(
+        args, outdir, "lqr", ["iteration", "l2_metric"],
+        lambda r: list(enumerate(r.metric_history, start=1)),
+        lambda r: {**_status(r), "default_shifts_used": r.default_shifts_used,
+                   "u_samples": {str(t): eval_control(r.controller, t).tolist()
+                                 for t in tsamples}},
+        lambda: lqr_reduce(sys_, shifts, tol=args.tol, s=args.s,
+                           max_m=args.max_m),
+        lambda: lqr_reduce_arnoldi(sys_, shifts, tol=args.tol, s=args.s,
+                                   max_m=args.max_m))
+    if ares is not None:
         agree = {}
         for t in tsamples:
             uL = eval_control(res.controller, t)
@@ -412,10 +395,7 @@ def cmd_lqr(args):
             denom = np.linalg.norm(uA)
             agree[str(t)] = float(np.linalg.norm(uL - uA) / denom) if denom \
                 else float(np.linalg.norm(uL - uA))
-        results["arnoldi"] = {"iterations": ares.iterations,
-                              "converged": ares.converged,
-                              "control_relative_difference": agree,
-                              "wall_time_s": time.perf_counter() - t0}
+        results["arnoldi"]["control_relative_difference"] = agree
     write_summary(outdir / "lqr.json", "lqr", vars(args), results)
     return 0
 
@@ -431,7 +411,6 @@ def cmd_fpa(args):
     res = run(A, v, shifts, args.m, retain_basis=True)
     rep = diagnostics(A, res, f=args.f)
     lam = strakos_eigenvalues(args.n, args.lam1, args.lamn, args.rho)
-    from .dense import _eval_on_spectrum
     exact = float(np.sum(v ** 2 * _eval_on_spectrum(lam, args.f)))
     rows = []
     for j in range(1, res.m + 1):

@@ -394,8 +394,8 @@ class _LqrEvaluator:
         return metric <= self.tol
 
 
-def lqr_reduce(sys: LtiSystem, shifts=None, tol=1e-8, s=4, max_m=80,
-               retain_basis=False) -> LqrResult:
+def lqr_reduce(sys: LtiSystem, shifts=None, tol=1e-8, s=4,
+               max_m=80) -> LqrResult:
     """Reduced LQR feedback for a stable symmetric system.
 
     Seeds the subspace with C^T, accumulates the projections of B and
@@ -403,9 +403,7 @@ def lqr_reduce(sys: LtiSystem, shifts=None, tol=1e-8, s=4, max_m=80,
     when the relative L2 distance between feedback signals lagged by
     ``s`` drops below ``tol``.
     """
-    return _lqr_reduce(sys, shifts, tol, s, max_m,
-                       partial(block_run, retain_basis=retain_basis),
-                       "lanczos")
+    return _lqr_reduce(sys, shifts, tol, s, max_m, block_run, "lanczos")
 
 
 def lqr_reduce_arnoldi(sys: LtiSystem, shifts=None, tol=1e-8, s=4,

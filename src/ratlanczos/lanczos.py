@@ -26,11 +26,9 @@ _EPS = float(np.finfo(float).eps)
 TERM_MAX_ITERATIONS = "max-iterations"
 TERM_CONVERGED = "converged"
 TERM_LUCKY_BREAKDOWN = "lucky-breakdown"
-TERM_SPACE_EXHAUSTED = "space-exhausted"
 
 #: terminations after which the projection is exact for its subspace
-EXACT_TERMINATIONS = (TERM_CONVERGED, TERM_LUCKY_BREAKDOWN,
-                      TERM_SPACE_EXHAUSTED)
+EXACT_TERMINATIONS = (TERM_CONVERGED, TERM_LUCKY_BREAKDOWN)
 
 
 @dataclass
@@ -82,18 +80,6 @@ class RecurrenceState:
     @property
     def yhat_view(self):
         return self.yhat[:self.j]
-
-    @property
-    def alpha_view(self):
-        return self.alpha[1:self.j + 1]
-
-    @property
-    def beta_view(self):
-        return self.beta[1:self.j + 1]
-
-    @property
-    def omega_view(self):
-        return self.omega[1:self.j + 1]
 
     @property
     def side_view(self):
@@ -270,7 +256,7 @@ class LanczosResult:
 
 
 def run(A: SparseSym, v, shifts, m, side_matrix=None, retain_basis=False,
-        callback=None, solver_cache=None, solve_method="auto",
+        callback=None, solver_cache=None,
         check_invariants=False) -> LanczosResult:
     """Run up to m steps of the recurrence from start vector v.
 
@@ -288,6 +274,31 @@ def run(A: SparseSym, v, shifts, m, side_matrix=None, retain_basis=False,
     retain_basis : bool
         Keep all basis vectors (diagnostics mode only; defeats the point
         of the short recurrence).
+    solver_cache : FactorizationCache, optional
+        Shared factorizations; also selects the solver method.
+    """
+    return _finalize(*_drive(
+        A, shifts, m,
+        lambda: init_state(A, v, m, side_matrix=side_matrix,
+                           retain_basis=retain_basis),
+        lambda state, xi, fact: lanczos_step(A, state, xi, fact,
+                                             check=check_invariants),
+        callback, solver_cache))
+
+
+def _drive(A: SparseSym, shifts, m, start, step, callback=None,
+           solver_cache=None):
+    """The step loop of ``run``, ``block_run`` and ``arnoldi_run``.
+
+    Checks the poles and m, then builds the process with ``start()`` and
+    calls ``step(process, xi, factorization)`` once per pole, the
+    factorization coming from ``solver_cache`` (a fresh
+    ``FactorizationCache`` when None).  ``callback(process)`` after a step
+    returning True stops the run as converged.  A step that sets
+    ``process.breakdown`` ends the run as a lucky breakdown, after one
+    last callback whose return is ignored.
+
+    Returns (process, termination, elapsed seconds).
     """
     if not isinstance(shifts, ShiftSequence):
         shifts = ShiftSequence(shifts)
@@ -297,28 +308,23 @@ def run(A: SparseSym, v, shifts, m, side_matrix=None, retain_basis=False,
         raise ValueError("m must be >= 1")
     shifts.check_sign_against(A)
     if solver_cache is None:
-        solver_cache = FactorizationCache(A, method=solve_method)
+        solver_cache = FactorizationCache(A)
 
     t0 = time.perf_counter()
-    state = init_state(A, v, m, side_matrix=side_matrix, retain_basis=retain_basis)
+    process = start()
     termination = TERM_MAX_ITERATIONS
     for k in range(m):
-        if state.j + 1 > A.n:
-            # the basis already spans the whole space
-            termination = TERM_SPACE_EXHAUSTED
-            break
         xi = shifts[k]
-        lanczos_step(A, state, xi, factorization=solver_cache.get(xi),
-                     check=check_invariants)
-        if state.breakdown is not None:
+        step(process, xi, solver_cache.get(xi))
+        if process.breakdown is not None:
             termination = TERM_LUCKY_BREAKDOWN
             if callback is not None:
-                callback(state)
+                callback(process)
             break
-        if callback is not None and callback(state):
+        if callback is not None and callback(process):
             termination = TERM_CONVERGED
             break
-    return _finalize(state, termination, time.perf_counter() - t0)
+    return process, termination, time.perf_counter() - t0
 
 
 def lag_converged(history, s, tol):

@@ -117,9 +117,6 @@ class SparseSym:
         hint = self.definiteness_hint if definiteness_hint is None else definiteness_hint
         return SparseSym._from_scipy(mat, hint)
 
-    def norm1(self):
-        return float(abs(self._mat).sum(axis=1).max()) if self.nnz else 0.0
-
     def __repr__(self):
         return (f"SparseSym(n={self.n}, nnz={self.nnz}, "
                 f"hint={self.definiteness_hint!r})")

@@ -75,14 +75,21 @@ def test_h2_descriptor(tmp_path, rng):
     mmwrite(tmp_path / "C.mtx", rng.standard_normal((1, 8)))
     (tmp_path / "sys.txt").write_text("A = A.mtx\nB = B.mtx\nC = C.mtx\n")
     assert run_cli(["h2", "--descriptor", tmp_path / "sys.txt",
-                    "--outdir", tmp_path, "--max-m", "8"]) == 0
+                    "--outdir", tmp_path, "--max-m", "8", "--compare"]) == 0
+    # the twin's CSV carries the same lag-s relative change as the main one
+    main, twin = (np.genfromtxt(tmp_path / name, delimiter=",", skip_header=2)
+                  for name in ("h2.csv", "h2_arnoldi.csv"))
+    assert np.isnan(twin[0, 2]) and np.all(np.isfinite(twin[1:, 2]))
+    assert np.allclose(twin[:, 2], main[:, 2], rtol=1e-6, equal_nan=True)
 
 
 def test_h2param_demo(tmp_path):
     assert run_cli(["h2param", "--demo", "--mu-nodes", "3",
-                    "--max-m", "10", "--outdir", tmp_path]) == 0
+                    "--max-m", "10", "--compare", "--outdir", tmp_path]) == 0
     summary = json.loads((tmp_path / "h2param.json").read_text())
     assert summary["results"]["norm"] > 0
+    # no full-basis twin: --compare leaves a note, not silence
+    assert "note" in summary["results"]["arnoldi"]
 
 
 def test_lqr_smoke_compare(tmp_path):
@@ -178,6 +185,31 @@ def test_bundled_smoke_manifest(tmp_path):
     t0 = time.perf_counter()
     assert run_cli(["sweep", manifest, "--outdir", tmp_path]) == 0
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_smoke_manifest_reproducible_across_processes(tmp_path):
+    """Two fresh processes with BLAS pinned to one thread write the same
+    bytes to every CSV of the bundled smoke sweep."""
+    import os
+    import subprocess
+    import sys
+
+    import ratlanczos
+    src = str(Path(ratlanczos.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               src, os.environ.get("PYTHONPATH")]))}
+    outs = [tmp_path / "p1", tmp_path / "p2"]
+    for out in outs:
+        subprocess.run([sys.executable, "-m", "ratlanczos.cli", "sweep",
+                        str(CONFIG_DIR / "smoke.json"), "--outdir", str(out)],
+                       env=env, check=True, capture_output=True)
+    csvs = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*.csv"))
+    assert csvs == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*.csv"))
+    assert len(csvs) >= 6
+    for rel in csvs:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
 
 def test_solve_residual_debug_flag(rng):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from ratlanczos import (Shift, ShiftError, ShiftSequence, SparseSym,
-                        assemble_HK, diagnostics, init_state, lanczos_step,
-                        run)
-from ratlanczos.lanczos import (TERM_LUCKY_BREAKDOWN, TERM_MAX_ITERATIONS,
-                                lag_converged)
+                        arnoldi_run, assemble_HK, block_run, diagnostics,
+                        init_state, lanczos_step, run)
+from ratlanczos.lanczos import (TERM_CONVERGED, TERM_LUCKY_BREAKDOWN,
+                                TERM_MAX_ITERATIONS, lag_converged)
 
 from conftest import rand_shifts, rand_sym, reference_lanczos
 
@@ -73,13 +73,26 @@ def test_single_step_rayleigh(rng):
     assert abs(res.J[0, 0] - vn @ Ad @ vn) <= 1e-13
 
 
-def test_shift_exhaustion_and_bad_m(rng):
+@pytest.mark.parametrize("runner", [run, block_run, arnoldi_run],
+                         ids=["run", "block_run", "arnoldi_run"])
+def test_runner_contract(rng, runner):
+    # the three runners share one step driver: same checks, same
+    # callback stop and the same lucky-breakdown label
     A, _ = rand_sym(rng, 10, 1.0, 4.0)
     v = rng.standard_normal(10)
     with pytest.raises(ShiftError):
-        run(A, v, ShiftSequence([-1.0]), 3)
+        runner(A, v, ShiftSequence([-1.0]), 3)
     with pytest.raises(ValueError):
-        run(A, v, ShiftSequence([-1.0]), 0)
+        runner(A, v, ShiftSequence([-1.0]), 0)
+
+    res = runner(A, v, rand_shifts(rng, 5, 1.0, 4.0), 5,
+                 callback=lambda process: process.j == 2)
+    assert res.termination == TERM_CONVERGED and res.m == 2
+
+    D = SparseSym.from_dense(np.diag([1.0, 2.0, 3.0]),
+                             definiteness_hint="positive")
+    res = runner(D, np.array([0.0, 1.0, 0.0]), ShiftSequence([-1.0, -2.0]), 2)
+    assert res.termination == TERM_LUCKY_BREAKDOWN
 
 
 def test_projection_matches_retained_basis(rng):
