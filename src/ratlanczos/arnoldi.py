@@ -8,14 +8,13 @@ baseline for the short-recurrence runs.  One shifted solve per iteration
 per block column, half as many as the short recurrence.
 """
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dense import qr_thin
-from .errors import RankDeficiencyError
+from .errors import DeflationNeededError, RankDeficiencyError
 from .lanczos import _as_side_matrix, _drive
 from .sparse import SparseSym
 
@@ -26,25 +25,24 @@ _EPS = float(np.finfo(float).eps)
 class ArnoldiResult:
     """Full-basis decomposition after m iterations.
 
-    ``Q`` has (m+1) p orthonormal columns and is a view of the process's
-    storage, not a copy; ``J`` is the explicit projection Q^T A Q over
-    all of them (slice the leading m p rows and columns to compare with a
-    short-recurrence projection).  ``Hbar`` and ``Kbar`` satisfy
-    A Q Kbar = Q Hbar.  ``R0`` is the QR factor of the start block and
-    ``side_projections`` holds Q^T U for a side matrix U, when one was
-    given.
+    ``Q`` has (m+1) p orthonormal columns and is a column-major view of
+    the process's storage, not a copy: the only array with n rows.  ``J``
+    is the explicit projection Q^T A Q over all of them (slice the leading
+    m p rows and columns to compare with a short-recurrence projection).
+    ``Hbar`` and ``Kbar`` satisfy A Q Kbar = Q Hbar; ``Kbar`` and
+    ``orth_trace`` are computed when read.  ``R0`` is the QR factor of the
+    start block, ``side_projections`` holds Q^T U for a side matrix U, when
+    one was given, and ``elapsed`` is the run's wall time (no per-step
+    timings are kept).
     """
 
     Q: np.ndarray
     Hbar: np.ndarray
-    Kbar: np.ndarray
     J: np.ndarray
     p: int
     m: int
     termination: str
     shifts: tuple
-    orth_trace: np.ndarray
-    timings: np.ndarray
     R0: np.ndarray = None
     side_projections: Optional[np.ndarray] = None
     elapsed: float = 0.0
@@ -55,6 +53,19 @@ class ArnoldiResult:
         short-recurrence J of the same iteration count)."""
         mp = self.m * self.p
         return self.J[:mp, :mp]
+
+    @property
+    def Kbar(self):
+        """(Hbar + Ibar) diag(1/xi_k), each pole inverse repeated p times:
+        a step's column h with A Q h / xi = Q h - q_j gives A Q Kbar = Q Hbar."""
+        inv = np.repeat([xi.inv for xi in self.shifts], self.p)
+        return (self.Hbar + np.eye(*self.Hbar.shape)) * inv
+
+    @property
+    def orth_trace(self):
+        """||I - Q_k^T Q_k||_2 after each iteration, k = 2p, ..., (m+1)p."""
+        Qs = (self.Q[:, :k] for k in range(2 * self.p, (self.m + 2) * self.p, self.p))
+        return np.array([np.linalg.norm(np.eye(Q.shape[1]) - Q.T @ Q, 2) for Q in Qs])
 
 
 class ArnoldiProcess:
@@ -71,13 +82,10 @@ class ArnoldiProcess:
         self.m_max = m
         self.p = p
         self.n = n
-        self.Q = np.zeros((n, (m + 1) * p))
-        self.W = np.zeros((n, (m + 1) * p))          # A Q, grown with Q
+        # column-major, so a new block touches only its own pages
+        self.Q = np.zeros((n, (m + 1) * p), order="F")
         self.J = np.zeros(((m + 1) * p, (m + 1) * p))
         self.Hbar = np.zeros(((m + 1) * p, m * p))
-        self.Kbar = np.zeros(((m + 1) * p, m * p))
-        self.orth_trace = []
-        self.timings = []
         self.j = 0
         self.breakdown = None
         self.shifts_used = []
@@ -91,22 +99,20 @@ class ArnoldiProcess:
         p = self.p
         k = self.j * p
         self.Q[:, k:k + p] = Qnew
-        Wnew = self.A.matmat(Qnew)
-        self.W[:, k:k + p] = Wnew
         # grow the explicit projection
-        self.J[:k + p, k:k + p] = self.Q[:, :k + p].T @ Wnew
+        self.J[:k + p, k:k + p] = self.Q[:, :k + p].T @ self.A.matmat(Qnew)
         self.J[k:k + p, :k] = self.J[:k, k:k + p].T
 
     def step(self, xi, factorization):
         """One iteration on pole xi: shifted solve with ``factorization``
-        (of I - A/xi), CGS2 orthogonalization, QR.  A new block that
-        collapses sets ``breakdown`` to the step number: the stored blocks
-        then span an invariant subspace."""
+        (of I - A/xi), CGS2 orthogonalization, QR.  Stored blocks that fill
+        the space or a collapsed new block set ``breakdown`` to the step
+        number: they span an invariant subspace.  A new block that keeps
+        only part of its rank, or does not fit, raises DeflationNeededError."""
         if self.breakdown is not None:
             raise RuntimeError(f"process already terminated at step {self.breakdown}")
         if self.j >= self.m_max:
             raise RuntimeError("iteration budget exhausted")
-        t0 = time.perf_counter()
         j, p = self.j, self.p
         k = j * p
         Qj = self.Q[:, k:k + p]
@@ -120,32 +126,29 @@ class ArnoldiProcess:
         hcol = h1 + h2
 
         scale = np.linalg.norm(hcol) + np.linalg.norm(Wnew)
-        lucky = np.linalg.norm(Wnew, "fro") <= self.n * _EPS * max(scale, 1.0)
-        if not lucky:
-            try:
-                Qnew, hdiag = qr_thin(Wnew)
-            except RankDeficiencyError:
-                lucky = True
-        if lucky:
+        if (k + p >= self.n
+                or np.linalg.norm(Wnew, "fro") <= self.n * _EPS * max(scale, 1.0)):
             self.breakdown = j + 1
-            self.timings.append(time.perf_counter() - t0)
             return
+        try:
+            Qnew, hdiag = qr_thin(Wnew)
+        except RankDeficiencyError:
+            Qnew = None
+        if Qnew is None or k + 2 * p > self.n:
+            raise DeflationNeededError(
+                f"new block at step {j + 1} is rank deficient or does not "
+                "fit; deflation is not supported",
+                result=self.result("deflation-needed", 0.0))
 
-        # relation columns: (I - A/xi)^-1 q_j = sum_i q_i h_i implies
-        # A (Q hcol_full) / xi = Q hcol_full - q_j
-        hfull = np.zeros(((self.m_max + 1) * p, p))
-        hfull[:k + p] = hcol
-        hfull[k + p:k + 2 * p] = hdiag
-        self.Kbar[:, k:k + p] = xi.inv * hfull[:self.Kbar.shape[0]]
-        self.Hbar[:, k:k + p] = hfull[:self.Hbar.shape[0]]
+        # relation columns: (I - A/xi)^-1 q_j = Q h implies
+        # A Q h / xi = Q h - q_j, so Hbar holds h - e_j
+        self.Hbar[:k + p, k:k + p] = hcol
+        self.Hbar[k + p:k + 2 * p, k:k + p] = hdiag
         self.Hbar[k:k + p, k:k + p] -= np.eye(p)
 
         self.j += 1
         self.shifts_used.append(xi)
         self._append_block(Qnew)
-        G = self.Q[:, :self.j * p + p].T @ self.Q[:, :self.j * p + p]
-        self.orth_trace.append(np.linalg.norm(np.eye(G.shape[0]) - G, 2))
-        self.timings.append(time.perf_counter() - t0)
 
     @property
     def _width(self):
@@ -177,14 +180,11 @@ class ArnoldiProcess:
         return ArnoldiResult(
             Q=self.Q[:, :jp],
             Hbar=self.Hbar[:jp, :self.j * self.p].copy(),
-            Kbar=self.Kbar[:jp, :self.j * self.p].copy(),
             J=self.J[:jp, :jp].copy(),
             p=self.p,
             m=self.j,
             termination=termination,
             shifts=tuple(self.shifts_used),
-            orth_trace=np.array(self.orth_trace),
-            timings=np.array(self.timings),
             R0=self.R0,
             side_projections=side,
             elapsed=elapsed,

@@ -11,7 +11,6 @@ from .errors import (ConvergenceError, DimensionError, DomainError,
                      RankDeficiencyError, StabilityError)
 
 STABILITY_RTOL = 1e-12
-LYAP_RESIDUAL_RTOL = 1e-11
 CARE_RESIDUAL_RTOL = 1e-11
 CARE_MAX_ITER = 60
 

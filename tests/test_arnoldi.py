@@ -59,6 +59,7 @@ def test_orthogonality_enforced(rng):
         A, _ = rand_sym(rng, n, 0.5, 25.0)
         v = rng.standard_normal(n)
         ar = arnoldi_run(A, v, rand_shifts(rng, m, 0.5, 25.0), m)
+        assert ar.orth_trace.shape == (m,)
         assert ar.orth_trace.max() <= 1e-12
 
 
@@ -91,14 +92,7 @@ def test_lucky_termination_on_eigenvector(rng):
     assert ar.termination == "lucky-breakdown"
     assert ar.m == 0
     assert abs(ar.J[0, 0] - 2.0) <= 1e-14
-
-
-def test_timings_recorded(rng):
-    A, _ = rand_sym(rng, 30, 1.0, 5.0)
-    v = rng.standard_normal(30)
-    ar = arnoldi_run(A, v, rand_shifts(rng, 4, 1.0, 5.0), 4)
-    assert ar.timings.shape == (4,)
-    assert np.all(ar.timings >= 0.0)
+    assert ar.orth_trace.shape == (0,)
 
 
 def test_start_factor_and_side_projections(rng):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ratlanczos import (DeflationNeededError, FormRequest, RankDeficiencyError,
-                        ShiftSequence, SparseSym, block_assemble_HK,
-                        block_quad_form, block_run, run)
+                        ShiftSequence, SparseSym, arnoldi_run, block_assemble_HK,
+                        block_run, run)
+from ratlanczos.forms import _block_quad_form
 from ratlanczos.lanczos import TERM_LUCKY_BREAKDOWN
 
 from conftest import rand_shifts, rand_sym
@@ -102,10 +103,13 @@ def test_partial_rank_collapse_after_one_step(rng):
     assert partial.J.shape == (2, 2)
 
 
-def test_trailing_short_block_requests_deflation():
+@pytest.mark.parametrize("runner", [block_run, arnoldi_run],
+                         ids=lambda r: r.__name__)
+def test_trailing_short_block_requests_deflation(runner):
     # n = 7, p = 4: the second block has only 3 directions left, so it is
-    # rank deficient even where its QR factor does not show it; the run
-    # must not end as an exact projection of a non-invariant subspace
+    # rank deficient even where its QR factor does not show it; neither
+    # subspace method may end as an exact projection of a non-invariant
+    # subspace
     rng = np.random.default_rng(127)
     lam = rng.uniform(0.1, 10.0, 7)
     Q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
@@ -115,7 +119,7 @@ def test_trailing_short_block_requests_deflation():
     A = SparseSym.from_dense(0.5 * (Ad + Ad.T), definiteness_hint="positive")
     req = FormRequest(f="sqrt", tol=1e-12, s=1, max_m=7)
     with pytest.raises(DeflationNeededError) as exc:
-        block_quad_form(A, V, poles, req)
+        _block_quad_form(A, V, poles, req, True, None, runner)
     partial = exc.value.result
     assert partial.m == 0 and partial.termination == "deflation-needed"
 
