@@ -106,7 +106,9 @@ def block_init_state(A: SparseSym, V, m_max, side_matrix=None, retain_basis=Fals
 
 def block_lanczos_step(A: SparseSym, state: BlockRecurrenceState, xi: Shift,
                        factorization=None, check=False) -> BlockRecurrenceState:
-    """Advance the block recurrence by one step (one 2p-column solve).
+    """Advance the block recurrence by one step (one 2p-column solve, or
+    p columns when xi repeats the previous pole: the second block of
+    right-hand sides is then (I - A/xi) Q_hat, which solves to Q_hat).
 
     A fully collapsed new block means the start block spanned an invariant
     subspace: the run terminates as a lucky breakdown with the current
@@ -128,11 +130,14 @@ def block_lanczos_step(A: SparseSym, state: BlockRecurrenceState, xi: Shift,
     else:
         beta_prev = state.betas[-1]
         Rt = state.AQhat - (state.Qbar - state.sig2 * state.AQbar) @ beta_prev.T
-    St = state.Qhat - state.sig1 * state.AQhat
     if factorization is None:
         factorization = shifted_factorize(A, xi)
-    RS = factorization.solve(np.hstack([Rt, St]))
-    R, S = RS[:, :p], RS[:, p:]
+    if sig == state.sig1:
+        R, S = factorization.solve(Rt), state.Qhat
+    else:
+        St = state.Qhat - state.sig1 * state.AQhat
+        RS = factorization.solve(np.hstack([Rt, St]))
+        R, S = RS[:, :p], RS[:, p:]
 
     try:
         alpha_j = np.linalg.solve(state.Qhat.T @ S, state.Qhat.T @ R)

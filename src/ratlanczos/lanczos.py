@@ -134,9 +134,11 @@ def lanczos_step(A: SparseSym, state: RecurrenceState, xi: Shift,
                  factorization=None, check=False) -> RecurrenceState:
     """Advance the recurrence by one step, consuming pole xi.
 
-    Performs the combined two-right-hand-side shifted solve, updates the
-    coefficient recurrences and appends column j to the projected matrix.
-    The state is updated in place and returned.
+    Performs the shifted solve, updates the coefficient recurrences and
+    appends column j to the projected matrix.  The solve takes two
+    right-hand sides, or one when xi repeats the previous pole: the
+    second right-hand side is then (I - A/xi) q_hat, whose solution is
+    q_hat itself.  The state is updated in place and returned.
 
     A vanishing normalization factor terminates the run (the subspace has
     become invariant); ``state.breakdown`` records the step and the
@@ -149,14 +151,17 @@ def lanczos_step(A: SparseSym, state: RecurrenceState, xi: Shift,
     j = state.j + 1
     sig = xi.inv
 
-    # combined shifted solve with two right-hand sides
+    # combined shifted solve with two right-hand sides, one on a repeat
     beta_prev = state.beta[j - 1]
     rt = state.Aqhat - beta_prev * (state.qbar - state.sig2 * state.Aqbar)
-    st_vec = state.qhat - state.sig1 * state.Aqhat
     if factorization is None:
         factorization = shifted_factorize(A, xi)
-    rs = factorization.solve(np.column_stack([rt, st_vec]))
-    r, s = rs[:, 0], rs[:, 1]
+    if sig == state.sig1:
+        r, s = factorization.solve(rt), state.qhat
+    else:
+        st_vec = state.qhat - state.sig1 * state.Aqhat
+        rs = factorization.solve(np.column_stack([rt, st_vec]))
+        r, s = rs[:, 0], rs[:, 1]
 
     denom = float(s @ state.qhat)
     if abs(denom) <= state.n * _EPS * np.linalg.norm(s):

@@ -126,12 +126,15 @@ class ShiftSequence:
 def default_shifts(A: SparseSym, m, num_poles=12, span_decades=6, seed=0):
     """Fallback pole sequence when the caller supplies none.
 
-    ``num_poles`` real poles with magnitudes log-spaced over
-    [norm(A)/10**span_decades, norm(A)], cycled to length ``m``.  The sign
-    is taken opposite to the operator's definiteness so every shifted
-    matrix stays positive definite (positive poles for a stable, negative
-    definite operator); without a definiteness hint the Rayleigh quotient
-    of the power iterate decides.
+    ``num_poles`` magnitudes log-spaced over [norm(A)/10**span_decades,
+    norm(A)]; every other one is used for two consecutive steps
+    (xi_1, xi_1, xi_3, xi_3, ...), cycled to length ``m``, so an odd ``m``
+    cuts the last pair.  A repeated pole needs no new factorization and
+    half the solve columns of its step.  The sign is taken opposite to
+    the operator's definiteness so every shifted matrix stays positive
+    definite (positive poles for a stable, negative definite operator);
+    without a definiteness hint the Rayleigh quotient of the power
+    iterate decides.
     """
     nrm, v = power_iteration(A, seed=seed)
     return _poles_from_power(A, m, nrm, v, num_poles, span_decades)
@@ -150,7 +153,7 @@ def _poles_from_power(A: SparseSym, m, nrm, v, num_poles=12, span_decades=6):
     else:
         sign = 1.0 if float(v @ A.matvec(v)) < 0.0 else -1.0
     mags = np.logspace(math.log10(nrm), math.log10(nrm) - span_decades, num_poles)
-    return ShiftSequence.cycled([sign * mg for mg in mags], m)
+    return ShiftSequence.cycled([sign * mg for mg in np.repeat(mags[::2], 2)], m)
 
 
 class ShiftedFactorization:
@@ -284,9 +287,10 @@ def shifted_factorize(A: SparseSym, xi: Shift, method: str = "auto") -> ShiftedF
 class FactorizationCache:
     """Cache of shifted factorizations keyed by pole value.
 
-    Pole sequences are commonly short lists applied cyclically, so reusing
+    Pole sequences are commonly short lists applied cyclically, and the
+    default schedule uses each pole for two consecutive steps, so reusing
     the factorization of a repeated pole removes most of the solve setup
-    cost of a run.
+    cost of a run.  Every factor stays resident for the cache's lifetime.
     """
 
     def __init__(self, A: SparseSym, method: str = "auto"):

@@ -4,7 +4,8 @@ spectra, valid pole draws and independent reference computations."""
 import numpy as np
 import pytest
 
-from ratlanczos import ShiftSequence, SparseSym
+from ratlanczos import ShiftSequence, SparseSym, arnoldi_run
+from ratlanczos.shifts import ShiftedFactorization
 
 
 def rand_sym(rng, n, lam_lo, lam_hi):
@@ -72,6 +73,78 @@ def pole_polynomial(x, shifts, m):
     for s in list(shifts)[:m - 1]:
         out = out * (1.0 - np.asarray(x, dtype=float) * s.inv)
     return out
+
+
+def repeat_pole_lists(a, b, c):
+    """Named six-pole lists with consecutive repeats, from three distinct
+    finite poles a, b, c."""
+    inf = np.inf
+    return {
+        "pairs": [a, a, b, b, c, c],
+        "triples": [a, a, a, b, b, b],
+        "one-repeated": [a] * 6,
+        "all-infinite": [inf] * 6,
+        "inf-then-repeats": [inf, inf, a, a, a, b],
+    }
+
+
+def repeated_steps(poles):
+    """Per step, whether its pole repeats the previous one (xi_0 = inf)."""
+    prev = [np.inf] + list(poles[:-1])
+    return [float(x) == float(y) for x, y in zip(poles, prev)]
+
+
+def rational_krylov_basis(Ad, V, poles, m):
+    """Orthonormal basis of q(A)^-1 K_m(A, V), q(x) = prod_{j<m} (1 - x/xi_j),
+    built explicitly: block Krylov with full reorthogonalization, then the
+    dense solves with the pole factors."""
+    V = np.asarray(V, dtype=float).reshape(Ad.shape[0], -1)
+    Q, _ = np.linalg.qr(V)
+    for _ in range(m - 1):
+        W = Ad @ Q[:, -V.shape[1]:]
+        for _ in range(2):
+            W = W - Q @ (Q.T @ W)
+        Q = np.hstack([Q, np.linalg.qr(W)[0]])
+    for xi in poles[:m - 1]:
+        Q = np.linalg.solve(np.eye(Ad.shape[0]) - Ad / xi, Q)
+    return np.linalg.qr(Q)[0]
+
+
+def assert_projection_matches(J, basis, Ad, A, V, poles):
+    """J is exactly symmetric, equals basis^T A basis over its columns and
+    equals an independent projection (Q_o, J_o) onto the same space in the
+    Lanczos basis: with M = Q_o^T basis, J = M^T J_o M (M is orthogonal
+    per block).  The oracle is the Arnoldi twin when every pole is finite;
+    its continuation (I - A/xi)^-1 q_j adds no direction for xi = inf, so
+    lists with an infinite pole use ``rational_krylov_basis``."""
+    k = J.shape[0]
+    Q = basis[:, :k]
+    nrm = np.linalg.norm(Ad, 2)
+    assert np.array_equal(J, J.T)
+    assert np.abs(J - Q.T @ Ad @ Q).max() <= 1e-10 * nrm
+    if np.all(np.isfinite(poles)):
+        ar = arnoldi_run(A, V, poles, len(poles))
+        Qo, Jo = ar.Q[:, :k], ar.J_m
+    else:
+        Qo = rational_krylov_basis(Ad, V, poles, len(poles))
+        Jo = Qo.T @ Ad @ Qo
+    assert Jo.shape == J.shape
+    M = Qo.T @ Q
+    assert np.abs(M.T @ Jo @ M - J).max() <= 1e-9 * nrm
+
+
+@pytest.fixture
+def solve_columns(monkeypatch):
+    """Right-hand-side columns of every shifted solve, in call order."""
+    cols = []
+    solve = ShiftedFactorization.solve
+
+    def counting(self, B):
+        cols.append(1 if np.ndim(B) == 1 else np.shape(B)[1])
+        return solve(self, B)
+
+    monkeypatch.setattr(ShiftedFactorization, "solve", counting)
+    return cols
 
 
 @pytest.fixture

@@ -197,8 +197,9 @@ def test_criterion_6_lqr_regime():
     inverse-grid scaling makes the feedback problem degenerate (converges
     immediately), which contradicts the reported growth of iteration
     counts with n.  The 20-35 iteration window itself is NOT reproduced
-    by the faithful squared-ratio stopping rule (measured: 17 iterations;
-    the unsquared reading of the same rule gives 34).  The window
+    by the faithful squared-ratio stopping rule (measured with the paired
+    default poles: 14 iterations; the unsquared reading of the same rule,
+    tol=1e-16 on the same metric history, gives 32).  The window
     assertion is kept as stated and is expected to fail; see the
     decisions ledger.
     """
@@ -230,7 +231,7 @@ def test_criterion_6_lqr_regime():
     assert window_ok, (
         f"converged in {res.iterations} iterations; the stated 20-35 window "
         "is not attained by the faithful squared-ratio stopping rule "
-        "(unsquared reading gives 34) - see decisions ledger")
+        "(unsquared reading gives 32) - see decisions ledger")
 
 
 def test_criterion_7_finite_precision_study():

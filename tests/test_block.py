@@ -7,7 +7,8 @@ from ratlanczos import (DeflationNeededError, FormRequest, RankDeficiencyError,
 from ratlanczos.forms import _block_quad_form
 from ratlanczos.lanczos import TERM_LUCKY_BREAKDOWN
 
-from conftest import rand_shifts, rand_sym
+from conftest import (assert_projection_matches, rand_shifts, rand_sym,
+                      repeat_pole_lists, repeated_steps)
 
 
 def test_block_width_one_matches_scalar(rng):
@@ -46,6 +47,27 @@ def test_block_projection_vs_explicit_basis(rng):
                     retain_basis=True, check_invariants=True)
     Q = res.basis[:, :m * p]
     assert np.abs(res.J - Q.T @ Ad @ Q).max() <= 1e-10 * np.linalg.norm(Ad, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", list(repeat_pole_lists(-1.0, -2.0, -3.0)))
+def test_block_repeated_poles_solve_p_columns(rng, solve_columns, name, p):
+    # a repeated pole's second block of right-hand sides solves to Q_hat
+    n, m = 40, 6
+    A, Ad = rand_sym(rng, n, 0.5, 20.0)
+    V = rng.standard_normal((n, p))
+    poles = repeat_pole_lists(*(-rng.uniform(0.5, 20.0, 3)))[name]
+    res = block_run(A, V, poles, m, retain_basis=True, check_invariants=True)
+    assert solve_columns == [p if rep else 2 * p for rep in repeated_steps(poles)]
+    assert res.m == m
+    assert_projection_matches(res.J, res.basis, Ad, A, V, poles)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_block_distinct_poles_solve_2p_columns(rng, solve_columns, p):
+    A, _ = rand_sym(rng, 40, 0.5, 20.0)
+    block_run(A, rng.standard_normal((40, p)), rand_shifts(rng, 6, 0.5, 20.0), 6)
+    assert solve_columns == [2 * p] * 6
 
 
 def test_block_projection_exactly_symmetric(rng):

@@ -7,7 +7,8 @@ from ratlanczos import (Shift, ShiftError, ShiftSequence, SparseSym,
 from ratlanczos.lanczos import (TERM_CONVERGED, TERM_LUCKY_BREAKDOWN,
                                 TERM_MAX_ITERATIONS, lag_converged)
 
-from conftest import rand_shifts, rand_sym, reference_lanczos
+from conftest import (assert_projection_matches, rand_shifts, rand_sym,
+                      reference_lanczos, repeat_pole_lists, repeated_steps)
 
 
 def test_first_step_initial_values(rng):
@@ -112,6 +113,28 @@ def test_projection_exactly_symmetric(rng):
     v = rng.standard_normal(40)
     res = run(A, v, rand_shifts(rng, 10, 0.5, 10.0), 10)
     assert np.array_equal(res.J, res.J.T)
+
+
+@pytest.mark.parametrize("name", list(repeat_pole_lists(-1.0, -2.0, -3.0)))
+def test_repeated_poles_solve_one_column(rng, solve_columns, name):
+    # a step whose pole repeats the previous one (xi_0 = inf) solves only
+    # r: its second right-hand side (I - A/xi) q_hat solves to q_hat
+    n, m = 40, 6
+    A, Ad = rand_sym(rng, n, 0.5, 20.0)
+    v = rng.standard_normal(n)
+    poles = repeat_pole_lists(*(-rng.uniform(0.5, 20.0, 3)))[name]
+    res = run(A, v, poles, m, retain_basis=True, check_invariants=True)
+    assert solve_columns == [1 if rep else 2 for rep in repeated_steps(poles)]
+    assert res.m == m
+    assert_projection_matches(res.J, res.basis, Ad, A, v, poles)
+
+
+def test_distinct_poles_solve_two_columns(rng, solve_columns):
+    # without consecutive repeats every step keeps its two-column solve,
+    # the arithmetic of the unpaired recurrence
+    A, _ = rand_sym(rng, 40, 0.5, 20.0)
+    run(A, rng.standard_normal(40), rand_shifts(rng, 8, 0.5, 20.0), 8)
+    assert solve_columns == [2] * 8
 
 
 def test_infinite_poles_reduce_to_classical_lanczos(rng):

@@ -6,6 +6,7 @@ from ratlanczos import (INFINITY, FactorizationCache, IndefiniteShiftError,
                         Shift, ShiftError, ShiftSequence, SparseSym,
                         default_shifts, shifted_factorize)
 from ratlanczos.problems import gen_laplacian2d, gen_strakos
+from ratlanczos.sparse import power_iteration
 
 from conftest import rand_sym
 
@@ -130,6 +131,23 @@ def test_default_shifts_sign_and_span(rng):
     neg, _ = rand_sym(rng, 30, -10.0, -1.0)
     seq2 = default_shifts(neg, 5)
     assert np.all(seq2.values() > 0)
+    # without a hint, opposite to the dominant eigenvalue's sign
+    for lam, sign in (((-10.0, 2.0), 1.0), ((-2.0, 10.0), -1.0)):
+        U = SparseSym.from_dense(np.diag(np.linspace(*lam, 30)))
+        assert np.all(np.sign(default_shifts(U, 9).values()) == sign)
+
+
+@pytest.mark.parametrize("m", [1, 7, 12, 13, 30])
+def test_default_shifts_paired_schedule(rng, m):
+    # every other of 12 log-spaced magnitudes, each twice in a row,
+    # cycled; an odd m cuts the last pair
+    A, _ = rand_sym(rng, 30, 1.0, 10.0)
+    nrm = power_iteration(A)[0]
+    vals = default_shifts(A, m).values()
+    assert len(vals) == m
+    mags = np.logspace(np.log10(nrm), np.log10(nrm) - 6, 12)[::2]
+    want = -np.repeat(mags, 2)
+    assert np.array_equal(vals, want[np.arange(m) % len(want)])
 
 
 def test_cycled_sequence():
