@@ -16,8 +16,8 @@ from .control import (H2Result, LqrResult, LtiSystem, ParametricIO,
                       h2_norm_arnoldi, h2_param_norm, l2_stop_metric,
                       lqr_reduce, lqr_reduce_arnoldi, mass_transform,
                       system_from_descriptor)
-from .dense import (care_newton, dense_matfun, expm_general, lyap_sym,
-                    matfun_action_e1, matfun_first_cols, qr_thin, sym_eig)
+from .dense import (care_newton, expm_general, lyap_sym, matfun_action_e1,
+                    matfun_first_cols, qr_thin, sym_eig)
 from .errors import (AlphaBreakdownError, ConvergenceError,
                      DeflationNeededError, DimensionError, DomainError,
                      IndefiniteShiftError, RankDeficiencyError,
@@ -25,13 +25,11 @@ from .errors import (AlphaBreakdownError, ConvergenceError,
                      StabilityError, SymmetryError)
 from .forms import (BilinearResult, BlockFormResult, FormRequest, FormResult,
                     LogDetResult, TraceRequest, TraceResult, bilinear_form,
-                    block_quad_form, block_residual_bound, gp_precision_matrix,
-                    hutchinson_trace, hutchinson_trace_arnoldi, logdet,
-                    quad_form, quad_form_arnoldi, rademacher_block,
-                    residual_bound)
-from .io import (read_dense_blob, read_dense_matrix, read_matrix_market,
-                 read_system_descriptor, write_dense_blob,
-                 write_matrix_market)
+                    block_quad_form, gp_precision_matrix, hutchinson_trace,
+                    hutchinson_trace_arnoldi, logdet, quad_form,
+                    quad_form_arnoldi, rademacher_block, residual_bound)
+from .io import (read_dense_matrix, read_matrix_market,
+                 read_system_descriptor, write_matrix_market)
 from .lanczos import (DiagnosticsReport, LanczosResult, RecurrenceState,
                       assemble_HK, diagnostics, init_state, lanczos_step,
                       run)

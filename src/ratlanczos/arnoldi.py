@@ -57,9 +57,12 @@ class ArnoldiResult:
     @property
     def Kbar(self):
         """(Hbar + Ibar) diag(1/xi_k), each pole inverse repeated p times:
-        a step's column h with A Q h / xi = Q h - q_j gives A Q Kbar = Q Hbar."""
+        a step's column h with A Q h / xi = Q h - q_j gives A Q Kbar = Q Hbar.
+        An infinite pole's step has A q_j = Q h, so its columns are Ibar's."""
         inv = np.repeat([xi.inv for xi in self.shifts], self.p)
-        return (self.Hbar + np.eye(*self.Hbar.shape)) * inv
+        poly = np.repeat([xi.is_infinite for xi in self.shifts], self.p)
+        Ibar = np.eye(*self.Hbar.shape)
+        return np.where(poly, Ibar, (self.Hbar + Ibar) * inv)
 
     @property
     def orth_trace(self):
@@ -105,7 +108,9 @@ class ArnoldiProcess:
 
     def step(self, xi, factorization):
         """One iteration on pole xi: shifted solve with ``factorization``
-        (of I - A/xi), CGS2 orthogonalization, QR.  Stored blocks that fill
+        (of I - A/xi), CGS2 orthogonalization, QR.  An infinite pole takes
+        the polynomial step A q_j instead, since (I - A/xi)^-1 q_j = q_j
+        adds no direction.  Stored blocks that fill
         the space or a collapsed new block set ``breakdown`` to the step
         number: they span an invariant subspace.  A new block that keeps
         only part of its rank, or does not fit, raises DeflationNeededError."""
@@ -116,7 +121,7 @@ class ArnoldiProcess:
         j, p = self.j, self.p
         k = j * p
         Qj = self.Q[:, k:k + p]
-        Wnew = factorization.solve(Qj)
+        Wnew = self.A.matmat(Qj) if xi.is_infinite else factorization.solve(Qj)
 
         Qact = self.Q[:, :k + p]
         h1 = Qact.T @ Wnew
@@ -141,10 +146,12 @@ class ArnoldiProcess:
                 result=self.result("deflation-needed", 0.0))
 
         # relation columns: (I - A/xi)^-1 q_j = Q h implies
-        # A Q h / xi = Q h - q_j, so Hbar holds h - e_j
+        # A Q h / xi = Q h - q_j, so Hbar holds h - e_j; A q_j = Q h for
+        # an infinite pole, so Hbar holds h
         self.Hbar[:k + p, k:k + p] = hcol
         self.Hbar[k + p:k + 2 * p, k:k + p] = hdiag
-        self.Hbar[k:k + p, k:k + p] -= np.eye(p)
+        if not xi.is_infinite:
+            self.Hbar[k:k + p, k:k + p] -= np.eye(p)
 
         self.j += 1
         self.shifts_used.append(xi)

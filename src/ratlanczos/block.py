@@ -323,40 +323,32 @@ def _block_finalize(state, termination, elapsed):
 def block_assemble_HK(result: BlockLanczosResult):
     """Block analogue of assemble_HK: ((m+1)p) x (mp) block tridiagonal
     factors satisfying A Q_{m+1} Kbar = Q_{m+1} Hbar with a retained basis."""
-    m, p = result.m, result.p
+    return _block_assemble_HK(result.alphas, result.betas, result.shifts,
+                              result.p)
+
+
+def _block_assemble_HK(alphas, betas, shifts, p):
+    """``block_assemble_HK`` from the coefficient blocks of steps 1 ... m
+    and the poles consumed; ``_block_check_recurrences`` takes the leading
+    mp x mp part."""
+    m = len(alphas)
     Hbar = np.zeros(((m + 1) * p, m * p))
     for jb in range(m):
-        r, c = jb * p, jb * p
-        Hbar[r:r + p, c:c + p] = result.alphas[jb]
-        Hbar[r + p:r + 2 * p, c:c + p] = result.betas[jb]
-        if jb + 1 < m:
-            Hbar[r:r + p, c + p:c + 2 * p] = result.betas[jb].T
-    sig_rows = np.repeat(np.array([0.0] + [s.inv for s in result.shifts]), p)
-    Kbar = np.zeros(((m + 1) * p, m * p))
-    Kbar[:m * p, :m * p] = np.eye(m * p)
-    Kbar += sig_rows[:, None] * Hbar
-    return Hbar, Kbar
-
-
-def _block_assemble_K_square(state):
-    j, p = state.j, state.p
-    jp = j * p
-    H = np.zeros((jp, jp))
-    for jb in range(j):
         r = jb * p
-        H[r:r + p, r:r + p] = state.alphas[jb]
-        if jb + 1 < j:
-            H[r + p:r + 2 * p, r:r + p] = state.betas[jb]
-            H[r:r + p, r + p:r + 2 * p] = state.betas[jb].T
-    sig_rows = np.repeat(
-        np.array([0.0] + [s.inv for s in state.shifts_used[:j - 1]]), p)
-    K = np.eye(jp) + sig_rows[:, None] * H
-    return H, K
+        Hbar[r:r + p, r:r + p] = alphas[jb]
+        Hbar[r + p:r + 2 * p, r:r + p] = betas[jb]
+        if jb + 1 < m:
+            Hbar[r:r + p, r + p:r + 2 * p] = betas[jb].T
+    sig_rows = np.repeat(np.array([0.0] + [s.inv for s in shifts]), p)
+    Kbar = np.eye((m + 1) * p, m * p) + sig_rows[:, None] * Hbar
+    return Hbar, Kbar
 
 
 def _block_check_recurrences(state, rtol=1e-10):
     j, p = state.j, state.p
-    H, K = _block_assemble_K_square(state)
+    Hbar, Kbar = _block_assemble_HK(state.alphas, state.betas,
+                                    state.shifts_used, p)
+    H, K = Hbar[:j * p], Kbar[:j * p]
     Ej = np.zeros((j * p, p))
     Ej[-p:] = np.eye(p)
     scale = max(np.linalg.norm(K, 1), 1.0)

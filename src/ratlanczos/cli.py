@@ -271,7 +271,7 @@ def cmd_h2(args):
     if args.demo:
         sys_ = _demo_system()
     elif args.descriptor:
-        sys_, _ = system_from_descriptor(args.descriptor)
+        sys_ = system_from_descriptor(args.descriptor)
     else:
         raise ValueError("pass --descriptor or --demo")
     shifts = parse_shifts(args.shifts, args.max_m)
@@ -304,28 +304,16 @@ def _named_param_form(spec_str, size):
 
 def cmd_h2param(args):
     outdir = resolve_outdir(args)
-    if args.demo:
-        sys_ = _demo_system()
-        B1 = sys_.B
-        B2 = np.array([[0.0], [1.0]])
-        C1 = sys_.C
-        C2 = np.array([[0.0, 1.0]])
-        A = sys_.A
-        nodes = np.linspace(args.mu_min, args.mu_max, args.mu_nodes)
-    elif args.descriptor:
-        sys_, grid = system_from_descriptor(args.descriptor)
-        A = sys_.A
-        B1 = sys_.B
-        C1 = sys_.C
-        B2 = args.b2_scale * B1
-        C2 = args.c2_scale * C1
-        nodes = grid.get("nodes")
-        if nodes is None:
-            nodes = np.linspace(args.mu_min, args.mu_max, args.mu_nodes)
-    else:
-        raise ValueError("pass --descriptor or --demo")
+    if not args.demo:
+        raise ValueError("pass --demo")
+    sys_ = _demo_system()
+    B1 = sys_.B
+    B2 = np.array([[0.0], [1.0]])
+    C1 = sys_.C
+    C2 = np.array([[0.0, 1.0]])
+    A = sys_.A
+    nodes = np.linspace(args.mu_min, args.mu_max, args.mu_nodes)
     # trapezoid weights over the node grid
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     if nodes.size == 1:
         weights = np.array([1.0])
     else:
@@ -566,13 +554,10 @@ def build_parser():
     p.set_defaults(func=cmd_h2)
 
     p = sub.add_parser("h2param", help="parametric H2 norm (quadrature)")
-    p.add_argument("--descriptor")
     p.add_argument("--demo", action="store_true")
     p.add_argument("--b-form", default="linear",
                    help="parameter map for B: zero|one|linear|const:<v>")
     p.add_argument("--c-form", default="zero")
-    p.add_argument("--b2-scale", type=float, default=1.0)
-    p.add_argument("--c2-scale", type=float, default=1.0)
     p.add_argument("--mu-min", type=float, default=0.0)
     p.add_argument("--mu-max", type=float, default=1.0)
     p.add_argument("--mu-nodes", type=int, default=5)

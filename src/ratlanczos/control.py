@@ -84,9 +84,10 @@ class LtiSystem:
         return self.C.shape[0]
 
 
-def warn_if_unstable(sys: LtiSystem, steps=20, seed=0):
-    """Cheap stability screen: warn when the largest Ritz value of A is
-    nonnegative.  Definiteness hints short-circuit the check."""
+def warn_if_unstable(sys: LtiSystem):
+    """Cheap stability screen: warn when the largest Ritz value of 20
+    polynomial Lanczos steps on A is nonnegative.  Definiteness hints
+    short-circuit the check."""
     hint = sys.A.definiteness_hint
     if hint == "negative":
         return
@@ -95,9 +96,9 @@ def warn_if_unstable(sys: LtiSystem, steps=20, seed=0):
                       stacklevel=2)
         return
     from .lanczos import run
-    g = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    g = np.random.Generator(np.random.Philox(key=np.uint64(0)))
     v = g.standard_normal(sys.n)
-    m = max(1, min(steps, sys.n - 1))
+    m = max(1, min(20, sys.n - 1))
     res = run(sys.A, v, ShiftSequence.all_infinite(m), m)
     lam, _ = sym_eig(res.J)
     if lam[-1] >= 0.0:
@@ -444,9 +445,9 @@ def _lqr_reduce(sys, shifts, tol, s, max_m, runner, method):
                      block=res)
 
 
-def system_from_descriptor(path) -> tuple:
-    """Assemble an LtiSystem (plus any parameter grid) from a descriptor
-    file; see io.read_system_descriptor for the format."""
+def system_from_descriptor(path) -> LtiSystem:
+    """Assemble an LtiSystem from a descriptor file; see
+    io.read_system_descriptor for the format."""
     entries = read_system_descriptor(path)
     A = read_matrix_market(entries["A"])
     n = A.n
@@ -467,13 +468,5 @@ def system_from_descriptor(path) -> tuple:
         C = C.reshape(1, -1)
     if C.shape[1] != n and C.shape[0] == n:
         C = C.T
-    sys = LtiSystem(A=A, B=B, C=C,
-                    E=entries.get("E"),
-                    x0=entries.get("x0"),
-                    R=entries.get("R"))
-    grid = {}
-    if "mu_nodes" in entries:
-        grid["nodes"] = np.atleast_1d(entries["mu_nodes"])
-        grid["weights"] = np.atleast_1d(
-            entries.get("mu_weights", np.ones(grid["nodes"].size)))
-    return sys, grid
+    return LtiSystem(A=A, B=B, C=C, E=entries.get("E"), x0=entries.get("x0"),
+                     R=entries.get("R"))

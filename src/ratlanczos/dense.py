@@ -58,19 +58,6 @@ def sym_eig(S):
     return lam, V
 
 
-def dense_matfun(S, f):
-    """Evaluate f(S) for symmetric S through its eigendecomposition.
-
-    ``f`` is a name from {exp, log, sqrt, inv} or a callable applied to the
-    eigenvalues.  Raises DomainError naming the first offending eigenvalue
-    when f is undefined somewhere on the spectrum.
-    """
-    lam, V = sym_eig(S)
-    flam = _eval_on_spectrum(lam, f)
-    F = (V * flam) @ V.T
-    return 0.5 * (F + F.T)
-
-
 def _eval_on_spectrum(lam, f):
     fn, dom, label = resolve_function(f)
     if dom is not None and not np.all(dom(lam)):
@@ -91,10 +78,15 @@ def matfun_action_e1(S, f, scale=1.0):
     return (V * flam) @ V[0, :]
 
 
-def matfun_first_cols(S, f, p, scale=1.0):
-    """First p columns of f(scale * S) for symmetric S."""
+def matfun_first_cols(S, f, p):
+    """First p columns of f(S) for symmetric S.
+
+    ``f`` is a name from {exp, log, sqrt, inv} or a callable applied to the
+    eigenvalues.  Raises DomainError naming the first offending eigenvalue
+    when f is undefined somewhere on the spectrum.
+    """
     lam, V = sym_eig(S)
-    flam = _eval_on_spectrum(scale * lam, f)
+    flam = _eval_on_spectrum(lam, f)
     return (V * flam) @ V[:p, :].T
 
 
@@ -180,13 +172,14 @@ def lyap_sym(J, W):
     return lyap_sym_solver(J)(W)
 
 
-def care_newton(J, B, Rinv, W, max_iter=CARE_MAX_ITER):
+def care_newton(J, B, Rinv, W):
     """Stabilizing solution of J Y + Y J - Y B Rinv B^T Y + W = 0.
 
     Newton-Kleinman iteration started from Y = 0, which is admissible
     because J is symmetric stable.  Each step solves a Lyapunov equation
     with the current (nonsymmetric) closed-loop matrix.  Convergence is
-    declared when the Riccati residual drops below 1e-11 * ||W||_F.
+    declared when the Riccati residual drops below 1e-11 * ||W||_F, within
+    CARE_MAX_ITER steps.
 
     Returns the symmetric PSD solution; the closed loop J - B Rinv B^T Y
     is verified to be stable.
@@ -212,9 +205,9 @@ def care_newton(J, B, Rinv, W, max_iter=CARE_MAX_ITER):
     res = np.linalg.norm(residual(Y), "fro")
     it = 0
     while res > tol:
-        if it >= max_iter:
+        if it >= CARE_MAX_ITER:
             raise ConvergenceError(
-                f"Newton iteration stagnated after {max_iter} steps "
+                f"Newton iteration stagnated after {CARE_MAX_ITER} steps "
                 f"(residual {res:.3e}, target {tol:.3e})")
         Ak = J - S @ Y
         G = W + Y @ S @ Y

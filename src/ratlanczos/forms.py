@@ -108,20 +108,6 @@ def _bound(state, w, norm_A):
             * abs(float(state.t_view @ w)))
 
 
-def block_residual_bound(state, f, tau=1.0, norm_A=None):
-    """Block version of ``residual_bound`` (Frobenius-norm flavored)."""
-    if norm_A is None:
-        raise ValueError("norm_A estimate is required")
-    p = state.p
-    beta = state.betas[-1]
-    if not np.any(beta):
-        return 0.0
-    sig = state.sig1
-    F1 = matfun_first_cols(state.J_view, f, p, scale=tau)
-    M = beta @ (state.T_view.T @ F1)
-    return (1.0 + abs(sig) * norm_A) * float(np.linalg.norm(M, "fro"))
-
-
 def quad_form(A: SparseSym, v, shifts=None, req: FormRequest = None,
               solver_cache=None) -> FormResult:
     """Approximate the quadratic form v^T f(A) v.
@@ -241,7 +227,7 @@ def bilinear_form(A: SparseSym, u, v, shifts=None, req: FormRequest = None,
     # block2x2
     try:
         br = block_quad_form(A, np.column_stack([u, v]), shifts, req,
-                             rescale=True, solver_cache=solver_cache)
+                             solver_cache=solver_cache)
     except RankDeficiencyError as exc:
         raise RankDeficiencyError(
             "block2x2 strategy needs linearly independent u and v; "
@@ -263,19 +249,18 @@ class BlockFormResult:
 
 
 def block_quad_form(A: SparseSym, V, shifts=None, req: FormRequest = None,
-                    rescale=True, solver_cache=None) -> BlockFormResult:
+                    solver_cache=None) -> BlockFormResult:
     """Approximate the p x p block form V^T f(A) V.
 
-    The start block is orthonormalized internally; with ``rescale`` the
-    triangular factor is reapplied so the result refers to the original
-    columns of V.  Stopping uses the relative Frobenius change of the
-    block iterate lagged by ``req.s``.
+    The start block is orthonormalized internally and its triangular
+    factor reapplied, so the result refers to the original columns of V.
+    Stopping uses the relative Frobenius change of the block iterate
+    lagged by ``req.s``.
     """
-    return _block_quad_form(A, V, shifts, req, rescale, solver_cache,
-                            block_run)
+    return _block_quad_form(A, V, shifts, req, solver_cache, block_run)
 
 
-def _block_quad_form(A, V, shifts, req, rescale, solver_cache, runner):
+def _block_quad_form(A, V, shifts, req, solver_cache, runner):
     """Body of ``block_quad_form`` on either subspace method: ``runner``
     is ``block_run`` or ``arnoldi_run``."""
     req = req or FormRequest()
@@ -287,9 +272,7 @@ def _block_quad_form(A, V, shifts, req, rescale, solver_cache, runner):
     history = []
 
     def value_from(J, R0):
-        M = matfun_first_cols(J, req.f, p)[:p, :]
-        if rescale:
-            M = R0.T @ M @ R0
+        M = R0.T @ matfun_first_cols(J, req.f, p)[:p, :] @ R0
         return 0.5 * (M + M.T)
 
     def cb(state):
@@ -382,7 +365,7 @@ def _hutchinson_trace(A, req, runner):
     while start < req.num_probes:
         count = min(req.block_size, req.num_probes - start)
         Z = rademacher_block(n, req.seed, start, count)
-        br = _block_quad_form(A, Z, shifts, freq, True, cache, runner)
+        br = _block_quad_form(A, Z, shifts, freq, cache, runner)
         samples[start:start + count] = np.diag(br.value)
         group_histories.append(
             np.array([float(np.mean(np.diag(M))) for M in br.history]))

@@ -1,13 +1,11 @@
-"""File formats: Matrix Market, dense binary blobs, system descriptors."""
+"""File formats: Matrix Market and system descriptors."""
 
-import struct
 from pathlib import Path
 
 import numpy as np
 import scipy.io as sio
 import scipy.sparse as sp
 
-from .errors import DimensionError
 from .sparse import SparseSym
 
 
@@ -23,11 +21,9 @@ def read_matrix_market(path, definiteness_hint="unknown") -> SparseSym:
     return SparseSym._from_scipy(M.tocsr(), definiteness_hint)
 
 
-def write_matrix_market(A: SparseSym, path, storage="symmetric"):
-    """Write a SparseSym to coordinate .mtx, symmetric or general storage."""
-    if storage not in ("symmetric", "general"):
-        raise ValueError("storage must be 'symmetric' or 'general'")
-    sio.mmwrite(str(path), A.to_scipy().tocoo(), symmetry=storage)
+def write_matrix_market(A: SparseSym, path):
+    """Write a SparseSym to coordinate .mtx in symmetric storage."""
+    sio.mmwrite(str(path), A.to_scipy().tocoo(), symmetry="symmetric")
 
 
 def read_dense_matrix(path):
@@ -36,31 +32,6 @@ def read_dense_matrix(path):
     if sp.issparse(M):
         M = M.toarray()
     return np.asarray(M, dtype=float)
-
-
-def write_dense_blob(path, M):
-    """Write a dense matrix as a binary blob: an 8-byte header with the
-    dimensions (two little-endian uint32) followed by the float64 values
-    in column-major order."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    n, k = M.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", n, k))
-        fh.write(np.asfortranarray(M).tobytes(order="F"))
-
-
-def read_dense_blob(path):
-    """Read a matrix written by write_dense_blob."""
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise DimensionError("blob too short for its 8-byte header")
-        n, k = struct.unpack("<II", header)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * k:
-        raise DimensionError(
-            f"blob payload has {data.size} values, header promises {n * k}")
-    return data.reshape((n, k), order="F").copy()
 
 
 def _parse_value(key, raw, base):
@@ -81,9 +52,9 @@ def read_system_descriptor(path):
 
     Lines are ``key = value`` pairs; ``#`` starts a comment.  ``A`` (and
     optionally ``B``, ``C``) name Matrix Market files relative to the
-    descriptor.  ``E`` (mass-matrix diagonal), ``R``, ``x0``,
-    ``mu_nodes`` and ``mu_weights`` may be inline whitespace-separated
-    numbers (rows split by ``;``) or ``file:`` references.
+    descriptor.  ``E`` (mass-matrix diagonal), ``R`` and ``x0`` may be
+    inline whitespace-separated numbers (rows split by ``;``) or ``file:``
+    references.
 
     Returns a dict of parsed entries; matrix assembly is the caller's
     concern (see control.system_from_descriptor).

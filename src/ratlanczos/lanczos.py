@@ -280,7 +280,7 @@ def run(A: SparseSym, v, shifts, m, side_matrix=None, retain_basis=False,
         Keep all basis vectors (diagnostics mode only; defeats the point
         of the short recurrence).
     solver_cache : FactorizationCache, optional
-        Shared factorizations; also selects the solver method.
+        Shared factorizations.
     """
     return _finalize(*_drive(
         A, shifts, m,
@@ -378,39 +378,30 @@ def assemble_HK(result: LanczosResult):
     Kbar = Ibar + diag(0, 1/xi_1, ..., 1/xi_m) Hbar, so that with the
     retained basis A Q_{m+1} Kbar = Q_{m+1} Hbar.
     """
-    m = result.m
-    alpha, beta = result.alpha, result.beta
+    return _assemble_HK(result.alpha, result.beta, result.shifts)
+
+
+def _assemble_HK(alpha, beta, shifts):
+    """``assemble_HK`` from the coefficients of steps 1 ... m and the
+    poles consumed; ``_check_recurrences`` takes the leading m x m part."""
+    m = len(alpha)
     Hbar = np.zeros((m + 1, m))
     for j in range(m):
         Hbar[j, j] = alpha[j]
-        if j + 1 <= m:
-            Hbar[j + 1, j] = beta[j]
+        Hbar[j + 1, j] = beta[j]
         if j + 1 < m:
             Hbar[j, j + 1] = beta[j]
-    sig_rows = np.array([0.0] + [s.inv for s in result.shifts])
-    Kbar = np.zeros((m + 1, m))
-    Kbar[:m, :m] = np.eye(m)
-    Kbar += sig_rows[:, None] * Hbar
+    sig_rows = np.array([0.0] + [s.inv for s in shifts])
+    Kbar = np.eye(m + 1, m) + sig_rows[:, None] * Hbar
     return Hbar, Kbar
 
-
-def _assemble_K_square(state):
-    """Leading j x j part of Kbar from the coefficients seen so far."""
-    j = state.j
-    H = np.zeros((j, j))
-    for i in range(j):
-        H[i, i] = state.alpha[i + 1]
-        if i + 1 < j:
-            H[i + 1, i] = state.beta[i + 1]
-            H[i, i + 1] = state.beta[i + 1]
-    sig_rows = np.array([0.0] + [s.inv for s in state.shifts_used[:j - 1]])
-    K = np.eye(j) + sig_rows[:, None] * H
-    return H, K
 
 def _check_recurrences(state, rtol=1e-10):
     """Assert the running solves against freshly assembled factors."""
     j = state.j
-    H, K = _assemble_K_square(state)
+    Hbar, Kbar = _assemble_HK(state.alpha[1:j + 1], state.beta[1:j + 1],
+                              state.shifts_used)
+    H, K = Hbar[:j], Kbar[:j]
     ej = np.zeros(j)
     ej[-1] = 1.0
     scale = max(np.linalg.norm(K, 1), 1.0)

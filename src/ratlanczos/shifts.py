@@ -9,12 +9,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, DimensionError, IndefiniteShiftError, ShiftError
+from .errors import DimensionError, IndefiniteShiftError, ShiftError
 from .sparse import SparseSym, power_iteration
 
-#: ``auto`` takes dense Cholesky only for an operator with n <= DENSE_CUTOFF
-#: that stores more than DENSE_ROW_NNZ entries per row on average; every
-#: other operator goes to the sparse SuperLU factorization (``sparse-ldl``).
+#: ``shifted_factorize`` takes dense Cholesky only for an operator with
+#: n <= DENSE_CUTOFF that stores more than DENSE_ROW_NNZ entries per row on
+#: average; every other operator goes to the sparse SuperLU factorization
+#: (``sparse-ldl``).
 #: Fill, and with it the sparse cost, follows the entries per row, not the
 #: stored fraction.  With one BLAS thread and n = 400-2000, SuperLU won on
 #: both factor and solve time at 4-6 entries per row (2-D Laplacians and
@@ -22,13 +23,10 @@ from .sparse import SparseSym, power_iteration
 #: faster at 9, and lost 1.8-2.3x on the factor at 13 and 3.6-4.3x at 21-25.
 DENSE_CUTOFF = 2000
 DENSE_ROW_NNZ = 8
-CG_RTOL = 1e-14
 
 #: debug switch: verify the residual of every shifted solve
 CHECK_SOLVE_RESIDUALS = False
 SOLVE_RESIDUAL_RTOL = 1e-8
-
-SOLVE_METHODS = ("auto", "dense-cholesky", "sparse-ldl", "iterative-cg")
 
 
 @dataclass(frozen=True)
@@ -123,26 +121,26 @@ class ShiftSequence:
                     "indefinite", stacklevel=2)
 
 
-def default_shifts(A: SparseSym, m, num_poles=12, span_decades=6, seed=0):
+def default_shifts(A: SparseSym, m):
     """Fallback pole sequence when the caller supplies none.
 
-    ``num_poles`` magnitudes log-spaced over [norm(A)/10**span_decades,
-    norm(A)]; every other one is used for two consecutive steps
-    (xi_1, xi_1, xi_3, xi_3, ...), cycled to length ``m``, so an odd ``m``
-    cuts the last pair.  A repeated pole needs no new factorization and
-    half the solve columns of its step.  The sign is taken opposite to
+    12 magnitudes log-spaced over the six decades [norm(A)/10**6, norm(A)],
+    norm(A) from ``power_iteration(A)``; every other one is used for two
+    consecutive steps (xi_1, xi_1, xi_3, xi_3, ...), cycled to length
+    ``m``, so an odd ``m`` cuts the last pair.  A repeated pole needs no
+    new factorization and half the solve columns of its step.  The sign is taken opposite to
     the operator's definiteness so every shifted matrix stays positive
     definite (positive poles for a stable, negative definite operator);
     without a definiteness hint the Rayleigh quotient of the power
     iterate decides.
     """
-    nrm, v = power_iteration(A, seed=seed)
-    return _poles_from_power(A, m, nrm, v, num_poles, span_decades)
+    nrm, v = power_iteration(A)
+    return _poles_from_power(A, m, nrm, v)
 
 
-def _poles_from_power(A: SparseSym, m, nrm, v, num_poles=12, span_decades=6):
+def _poles_from_power(A: SparseSym, m, nrm, v):
     """``default_shifts`` from a power iteration the caller already ran:
-    ``nrm, v = power_iteration(A, seed=seed)``."""
+    ``nrm, v = power_iteration(A)``."""
     if nrm == 0.0:
         nrm = 1.0
     hint = A.definiteness_hint
@@ -152,7 +150,7 @@ def _poles_from_power(A: SparseSym, m, nrm, v, num_poles=12, span_decades=6):
         sign = -1.0
     else:
         sign = 1.0 if float(v @ A.matvec(v)) < 0.0 else -1.0
-    mags = np.logspace(math.log10(nrm), math.log10(nrm) - span_decades, num_poles)
+    mags = np.logspace(math.log10(nrm), math.log10(nrm) - 6, 12)
     return ShiftSequence.cycled([sign * mg for mg in np.repeat(mags[::2], 2)], m)
 
 
@@ -190,52 +188,36 @@ class ShiftedFactorization:
         return X[:, 0] if single else X
 
 
-def shifted_matrix(A: SparseSym, xi: Shift):
-    """Assemble I - A/xi as a scipy CSR matrix (identity for xi = inf)."""
-    n = A.n
-    if xi.is_infinite:
-        return sp.identity(n, format="csr")
-    return (sp.identity(n, format="csr") - xi.inv * A.to_scipy()).tocsr()
-
-
-def shifted_factorize(A: SparseSym, xi: Shift, method: str = "auto") -> ShiftedFactorization:
+def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
     """Factor I - A/xi once for repeated multi right-hand-side solves.
 
     The shifted matrix must be symmetric positive definite, which holds
-    whenever the pole sign is opposite to the spectrum of A.  An infinite
-    pole yields the identity solver.
+    whenever the pole sign is opposite to the spectrum of A.  The
+    factorization's ``method`` records the solver taken:
 
-    Methods:
-
-    - ``dense-cholesky``: LAPACK Cholesky of the dense n x n matrix.
-    - ``sparse-ldl``: SuperLU in symmetric mode (diagonal pivots, no
-      pivoting threshold) after a minimum-degree ordering of A^T + A.
-      It is an LU factorization, not an LDL^T; positive definiteness is
-      read off the signs of U's diagonal.
-    - ``iterative-cg``: conjugate gradients per right-hand side.
-    - ``auto``: ``dense-cholesky`` when n <= DENSE_CUTOFF and A stores
-      more than DENSE_ROW_NNZ entries per row on average, ``sparse-ldl``
-      otherwise.
+    - ``identity`` for an infinite pole;
+    - ``dense-cholesky``, LAPACK Cholesky of the dense n x n matrix, when
+      n <= DENSE_CUTOFF and A stores more than DENSE_ROW_NNZ entries per
+      row on average;
+    - ``sparse-ldl`` otherwise: SuperLU in symmetric mode (diagonal
+      pivots, no pivoting threshold) after a minimum-degree ordering of
+      A^T + A.  It is an LU factorization, not an LDL^T; positive
+      definiteness is read off the signs of U's diagonal.
 
     Raises
     ------
     IndefiniteShiftError
         If the factorization detects a nonpositive pivot.
     """
-    if method not in SOLVE_METHODS:
-        raise ValueError(f"unknown solve method {method!r}")
     n = A.n
     if xi.is_infinite:
         return ShiftedFactorization(xi, "identity", n, lambda B: B.copy(),
                                     apply_op=lambda X: X)
-    if method == "auto":
-        dense = n <= DENSE_CUTOFF and A.nnz > DENSE_ROW_NNZ * n
-        method = "dense-cholesky" if dense else "sparse-ldl"
     inv = xi.inv
     apply_op = lambda X: X - inv * A.matmat(X)
 
-    if method == "dense-cholesky":
-        M = np.eye(n) - xi.inv * A.to_dense()
+    if n <= DENSE_CUTOFF and A.nnz > DENSE_ROW_NNZ * n:
+        M = np.eye(n) - inv * A.to_dense()
         try:
             c, low = sla.cho_factor(M, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
@@ -243,45 +225,26 @@ def shifted_factorize(A: SparseSym, xi: Shift, method: str = "auto") -> ShiftedF
                 f"I - A/xi with xi = {xi.value:g} is not positive definite: {exc}",
                 shift=xi) from exc
         return ShiftedFactorization(
-            xi, method, n,
+            xi, "dense-cholesky", n,
             lambda B: sla.cho_solve((c, low), B, check_finite=False),
             apply_op=apply_op)
 
-    if method == "sparse-ldl":
-        M = shifted_matrix(A, xi).tocsc()
-        try:
-            lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise IndefiniteShiftError(
-                f"sparse factorization of I - A/xi failed for xi = {xi.value:g}: {exc}",
-                shift=xi) from exc
-        dU = lu.U.diagonal()
-        if np.any(dU <= 0.0):
-            raise IndefiniteShiftError(
-                f"I - A/xi with xi = {xi.value:g} is not positive definite "
-                f"(pivot {dU.min():.3e})", shift=xi)
-        return ShiftedFactorization(xi, method, n, lu.solve,
-                                    apply_op=apply_op)
-
-    # iterative-cg fallback
-    M = shifted_matrix(A, xi)
-
-    def cg_solve(B):
-        X = np.empty_like(B)
-        for k in range(B.shape[1]):
-            x, info = spla.cg(M, B[:, k], rtol=CG_RTOL, atol=0.0)
-            if info > 0:
-                raise ConvergenceError(
-                    f"CG did not converge for xi = {xi.value:g} (info={info})")
-            if info < 0:
-                raise IndefiniteShiftError(
-                    f"CG breakdown for xi = {xi.value:g}", shift=xi)
-            X[:, k] = x
-        return X
-
-    return ShiftedFactorization(xi, method, n, cg_solve, apply_op=apply_op)
+    M = (sp.identity(n, format="csr") - inv * A.to_scipy()).tocsc()
+    try:
+        lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise IndefiniteShiftError(
+            f"sparse factorization of I - A/xi failed for xi = {xi.value:g}: {exc}",
+            shift=xi) from exc
+    dU = lu.U.diagonal()
+    if np.any(dU <= 0.0):
+        raise IndefiniteShiftError(
+            f"I - A/xi with xi = {xi.value:g} is not positive definite "
+            f"(pivot {dU.min():.3e})", shift=xi)
+    return ShiftedFactorization(xi, "sparse-ldl", n, lu.solve,
+                                apply_op=apply_op)
 
 
 class FactorizationCache:
@@ -293,15 +256,14 @@ class FactorizationCache:
     cost of a run.  Every factor stays resident for the cache's lifetime.
     """
 
-    def __init__(self, A: SparseSym, method: str = "auto"):
+    def __init__(self, A: SparseSym):
         self.A = A
-        self.method = method
         self._cache = {}
 
     def get(self, xi: Shift) -> ShiftedFactorization:
         key = xi.value
         fact = self._cache.get(key)
         if fact is None:
-            fact = shifted_factorize(self.A, xi, self.method)
+            fact = shifted_factorize(self.A, xi)
             self._cache[key] = fact
         return fact

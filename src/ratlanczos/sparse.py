@@ -104,8 +104,9 @@ class SparseSym:
         """Return the underlying canonical CSR matrix (do not modify)."""
         return self._mat
 
-    def scaled_rows_cols(self, d, definiteness_hint=None):
-        """Return diag(d) @ A @ diag(d) as a new SparseSym."""
+    def scaled_rows_cols(self, d):
+        """Return diag(d) @ A @ diag(d) as a new SparseSym with A's
+        definiteness hint (a congruence keeps the inertia)."""
         d = np.asarray(d, dtype=float)
         if d.shape != (self.n,):
             raise DimensionError("scaling vector length mismatch")
@@ -114,8 +115,7 @@ class SparseSym:
         # d_i * d_j first: IEEE multiplication commutes, so the scaled
         # entry (i, j) stays bit-equal to (j, i)
         mat.data = mat.data * (d[rows] * d[mat.indices])
-        hint = self.definiteness_hint if definiteness_hint is None else definiteness_hint
-        return SparseSym._from_scipy(mat, hint)
+        return SparseSym._from_scipy(mat, self.definiteness_hint)
 
     def __repr__(self):
         return (f"SparseSym(n={self.n}, nnz={self.nnz}, "

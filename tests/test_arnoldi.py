@@ -67,9 +67,14 @@ def test_relation_matrices(rng):
     n, m = 80, 7
     A, Ad = rand_sym(rng, n, 0.5, 15.0)
     v = rng.standard_normal(n)
-    ar = arnoldi_run(A, v, rand_shifts(rng, m, 0.5, 15.0), m)
-    rel = np.linalg.norm(Ad @ ar.Q @ ar.Kbar - ar.Q @ ar.Hbar)
-    assert rel <= 1e-12 * np.linalg.norm(Ad, 2)
+    finite = list(rand_shifts(rng, m, 0.5, 15.0))
+    # an infinite pole takes the polynomial step A q_j, not a solve that
+    # returns q_j and would end the run as a false lucky breakdown
+    for poles in (finite, [finite[0], np.inf] + finite[2:], [np.inf] * m):
+        ar = arnoldi_run(A, v, poles, m)
+        assert ar.m == m
+        rel = np.linalg.norm(Ad @ ar.Q @ ar.Kbar - ar.Q @ ar.Hbar)
+        assert rel <= 1e-12 * np.linalg.norm(Ad, 2)
 
 
 def test_block_arnoldi_vs_block_recurrence(rng):

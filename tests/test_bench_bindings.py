@@ -21,3 +21,22 @@ def test_every_traced_site_resolves():
     for (module, cls, attr, _), obj in zip(tracing.SITES, bound):
         assert callable(obj), ".".join(filter(None, (module, cls, attr)))
 
+
+
+def test_factorization_labels_counted_by_worker():
+    """``bench/worker.py`` counts dense and sparse factorizations by the
+    ``method`` label of ``shifted_factorize``: an operator on each side of
+    the solver choice must carry a label the worker reads."""
+    import numpy as np
+
+    from ratlanczos import Shift, shifted_factorize
+    from ratlanczos.problems import gen_laplacian2d
+
+    from conftest import rand_sym
+
+    dense, _ = rand_sym(np.random.default_rng(0), 40, 1.0, 2.0)
+    worker = (BENCH / "worker.py").read_text()
+    for A, xi, label in ((dense, -1.0, "dense-cholesky"),
+                         (gen_laplacian2d(20), 1.0, "sparse-ldl")):
+        assert shifted_factorize(A, Shift(xi)).method == label
+        assert f'"shifts.factorize.{label}"' in worker

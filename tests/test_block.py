@@ -141,7 +141,7 @@ def test_trailing_short_block_requests_deflation(runner):
     A = SparseSym.from_dense(0.5 * (Ad + Ad.T), definiteness_hint="positive")
     req = FormRequest(f="sqrt", tol=1e-12, s=1, max_m=7)
     with pytest.raises(DeflationNeededError) as exc:
-        _block_quad_form(A, V, poles, req, True, None, runner)
+        _block_quad_form(A, V, poles, req, None, runner)
     partial = exc.value.result
     assert partial.m == 0 and partial.termination == "deflation-needed"
 

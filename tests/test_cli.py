@@ -37,6 +37,18 @@ def test_biform_compare_mode(tmp_path):
     assert "arnoldi" in summary["results"]
 
 
+def test_biform_compare_with_infinite_pole(tmp_path):
+    # the full-basis twin takes a polynomial step at the infinite pole and
+    # converges to the oracle like the main run
+    args = ["biform", "--gen", "strakos", "--n", "200", "--f", "sqrt",
+            "--tol", "1e-10", "--max-m", "20", "--shifts=-1,-10,inf",
+            "--compare", "--outdir", tmp_path]
+    assert run_cli(args) == 0
+    twin = np.genfromtxt(tmp_path / "biform_arnoldi.csv", delimiter=",",
+                         skip_header=2)
+    assert twin[-1, 2] <= 1e-8
+
+
 def test_biform_bilinear_indices(tmp_path):
     args = ["biform", "--gen", "strakos", "--n", "120", "--f", "exp",
             "--index", "3", "--index2", "7", "--max-m", "15",
@@ -90,6 +102,8 @@ def test_h2param_demo(tmp_path):
     assert summary["results"]["norm"] > 0
     # no full-basis twin: --compare leaves a note, not silence
     assert "note" in summary["results"]["arnoldi"]
+    with pytest.raises(SystemExit):
+        run_cli(["h2param", "--descriptor", tmp_path / "sys.txt"])
 
 
 def test_lqr_smoke_compare(tmp_path):

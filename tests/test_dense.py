@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ratlanczos import (DomainError, RankDeficiencyError, StabilityError,
-                        care_newton, dense_matfun, expm_general, lyap_sym,
-                        qr_thin, sym_eig)
+                        care_newton, expm_general, lyap_sym,
+                        matfun_first_cols, qr_thin, sym_eig)
 
 
 def test_sym_eig_diagonal_permutation():
@@ -33,14 +33,14 @@ def test_sym_eig_reconstruction(rng):
 
 def test_matfun_identity_and_sqrt():
     S = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert np.allclose(dense_matfun(S, lambda x: x), S, atol=1e-14)
-    assert np.allclose(dense_matfun(np.diag([1.0, 4.0]), "sqrt"),
+    assert np.allclose(matfun_first_cols(S, lambda x: x, 2), S, atol=1e-14)
+    assert np.allclose(matfun_first_cols(np.diag([1.0, 4.0]), "sqrt", 2),
                        np.diag([1.0, 2.0]), atol=1e-14)
 
 
 def test_matfun_exp_vs_taylor_series():
     S = np.array([[2.0, 1.0], [1.0, 2.0]])
-    E = dense_matfun(S, "exp")
+    E = matfun_first_cols(S, "exp", 2)
     # truncated Taylor oracle
     T = np.zeros((2, 2))
     term = np.eye(2)
@@ -52,9 +52,9 @@ def test_matfun_exp_vs_taylor_series():
 
 def test_matfun_domain_error_names_eigenvalue():
     with pytest.raises(DomainError, match="-1"):
-        dense_matfun(np.diag([1.0, -1.0]), "log")
+        matfun_first_cols(np.diag([1.0, -1.0]), "log", 2)
     with pytest.raises(DomainError):
-        dense_matfun(np.diag([1.0, 0.0]), "inv")
+        matfun_first_cols(np.diag([1.0, 0.0]), "inv", 2)
 
 
 def test_matfun_polynomial_exactness(rng):
@@ -64,7 +64,7 @@ def test_matfun_polynomial_exactness(rng):
         S = rng.standard_normal((n, n))
         S = 0.5 * (S + S.T)
         coef = rng.standard_normal(5)
-        F = dense_matfun(S, lambda x: np.polyval(coef, x))
+        F = matfun_first_cols(S, lambda x: np.polyval(coef, x), n)
         P = np.zeros((n, n))
         for c in coef:
             P = P @ S + c * np.eye(n)

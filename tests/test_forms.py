@@ -5,12 +5,10 @@ import pytest
 
 from ratlanczos import (FactorizationCache, FormRequest, RankDeficiencyError,
                         ShiftSequence, SparseSym, TraceRequest, bilinear_form,
-                        block_quad_form, block_residual_bound,
-                        gp_precision_matrix, hutchinson_trace, init_state,
+                        block_quad_form, gp_precision_matrix, hutchinson_trace, init_state,
                         lanczos_step, logdet, norm_estimate, quad_form,
                         rademacher_block, residual_bound, run)
-from ratlanczos.block import block_init_state, block_lanczos_step
-from ratlanczos.dense import matfun_action_e1, matfun_first_cols
+from ratlanczos.dense import matfun_action_e1
 from ratlanczos.problems import gen_strakos, gp_points, strakos_eigenvalues
 
 from conftest import dense_matfun_oracle, pole_polynomial, rand_shifts, rand_sym
@@ -116,24 +114,6 @@ def test_residual_bound_zero_at_breakdown():
     lanczos_step(A, st, Shift(1.0))
     assert st.breakdown == 1
     assert residual_bound(st, "exp", 1.0, 2.0) == 0.0
-
-
-def test_block_residual_bound_dominates(rng):
-    n, p, m = 50, 2, 10
-    A, Ad = rand_sym(rng, n, -15.0, -0.5)
-    V = rng.standard_normal((n, p))
-    sh = ShiftSequence.cycled([1.0, 10.0], m)
-    normA = 1.05 * norm_estimate(A)
-    cache = FactorizationCache(A)
-    st = block_init_state(A, V, m, retain_basis=True)
-    for k in range(m):
-        block_lanczos_step(A, st, sh[k], factorization=cache.get(sh[k]))
-        bound = block_residual_bound(st, "exp", 1.0, normA)
-        F1 = matfun_first_cols(st.J_view, "exp", p)
-        Qj = st.basis[:, :st.j * p]
-        Y = Qj @ F1
-        true = np.linalg.norm(Ad @ Y - Qj @ (st.J_view @ F1), "fro")
-        assert bound >= true * (1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,7 @@
-import struct
-
 import numpy as np
 import pytest
 
-from ratlanczos import (DimensionError, read_dense_blob, read_matrix_market,
-                        read_system_descriptor, write_dense_blob,
+from ratlanczos import (read_matrix_market, read_system_descriptor,
                         write_matrix_market)
 from ratlanczos.control import system_from_descriptor
 from ratlanczos.problems import gen_laplacian2d
@@ -12,13 +9,17 @@ from ratlanczos.problems import gen_laplacian2d
 from conftest import rand_sym
 
 
-@pytest.mark.parametrize("storage", ["symmetric", "general"])
-def test_matrix_market_roundtrip(tmp_path, storage, rng):
+def test_matrix_market_roundtrip(tmp_path, rng):
     A, Ad = rand_sym(rng, 15, 0.5, 5.0)
     path = tmp_path / "a.mtx"
-    write_matrix_market(A, path, storage=storage)
+    write_matrix_market(A, path)
     B = read_matrix_market(path)
     assert np.allclose(B.to_dense(), Ad, atol=1e-14)
+    # the reader also takes general storage of symmetric data
+    from scipy.io import mmwrite
+    mmwrite(tmp_path / "g.mtx", A.to_scipy().tocoo(), symmetry="general")
+    assert np.array_equal(read_matrix_market(tmp_path / "g.mtx").to_dense(),
+                          A.to_dense())
 
 
 def test_matrix_market_sparse_roundtrip(tmp_path):
@@ -29,30 +30,6 @@ def test_matrix_market_sparse_roundtrip(tmp_path):
     assert B.nnz == A.nnz
     assert np.array_equal(B.to_dense(), A.to_dense())
     assert B.definiteness_hint == "negative"
-
-
-def test_dense_blob_roundtrip(tmp_path, rng):
-    M = rng.standard_normal((7, 3))
-    path = tmp_path / "m.blob"
-    write_dense_blob(path, M)
-    raw = path.read_bytes()
-    n, k = struct.unpack("<II", raw[:8])
-    assert (n, k) == (7, 3)
-    # column-major payload: first 7 doubles are the first column
-    col0 = np.frombuffer(raw[8:8 + 7 * 8], dtype="<f8")
-    assert np.array_equal(col0, M[:, 0])
-    back = read_dense_blob(path)
-    assert np.array_equal(back, M)
-
-
-def test_dense_blob_header_errors(tmp_path):
-    path = tmp_path / "bad.blob"
-    path.write_bytes(b"\x01\x00")
-    with pytest.raises(DimensionError):
-        read_dense_blob(path)
-    path.write_bytes(struct.pack("<II", 4, 2) + b"\x00" * 8)
-    with pytest.raises(DimensionError):
-        read_dense_blob(path)
 
 
 def test_descriptor_parsing(tmp_path, rng):
@@ -67,18 +44,14 @@ def test_descriptor_parsing(tmp_path, rng):
         "B = B.mtx\n"
         "E = 1.0 2.0 1.5 1.0 1.0 2.5\n"
         "R = 2.0 0.0; 0.0 1.0\n"
-        "x0 = 1 0 0 0 0 1\n"
-        "mu_nodes = 0.0 0.5 1.0\n"
-        "mu_weights = 0.25 0.5 0.25\n")
+        "x0 = 1 0 0 0 0 1\n")
     entries = read_system_descriptor(desc)
     assert entries["A"].endswith("A.mtx")
     assert entries["E"].shape == (6,)
     assert entries["R"].shape == (2, 2)
-    sys_, grid = system_from_descriptor(desc)
+    sys_ = system_from_descriptor(desc)
     assert sys_.n == 6
     assert sys_.B.shape == (6, 2)
-    assert np.array_equal(grid["nodes"], [0.0, 0.5, 1.0])
-    assert np.array_equal(grid["weights"], [0.25, 0.5, 0.25])
 
 
 def test_descriptor_requires_A(tmp_path):
@@ -96,5 +69,5 @@ def test_descriptor_file_reference(tmp_path, rng):
     mmwrite(tmp_path / "x0.mtx", x0.reshape(-1, 1))
     desc = tmp_path / "sys.txt"
     desc.write_text("A = A.mtx\nx0 = file:x0.mtx\n")
-    sys_, _ = system_from_descriptor(desc)
+    sys_ = system_from_descriptor(desc)
     assert np.allclose(sys_.x0, x0)
