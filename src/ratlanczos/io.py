@@ -34,7 +34,11 @@ def read_dense_matrix(path):
     return np.asarray(M, dtype=float)
 
 
-def _parse_value(key, raw, base):
+#: the keys ``control.system_from_descriptor`` reads
+_DESCRIPTOR_KEYS = ("A", "B", "C", "E", "R", "x0")
+
+
+def _parse_value(raw, base):
     raw = raw.strip()
     if raw.startswith("file:"):
         rel = raw[len("file:"):].strip()
@@ -54,7 +58,7 @@ def read_system_descriptor(path):
     optionally ``B``, ``C``) name Matrix Market files relative to the
     descriptor.  ``E`` (mass-matrix diagonal), ``R`` and ``x0`` may be
     inline whitespace-separated numbers (rows split by ``;``) or ``file:``
-    references.
+    references.  Any other key raises ``ValueError`` naming the line.
 
     Returns a dict of parsed entries; matrix assembly is the caller's
     concern (see control.system_from_descriptor).
@@ -71,10 +75,14 @@ def read_system_descriptor(path):
         key, raw = line.split("=", 1)
         key = key.strip()
         raw = raw.strip()
+        if key not in _DESCRIPTOR_KEYS:
+            raise ValueError(
+                f"{path}:{lineno}: unknown key {key!r}; expected one of "
+                + ", ".join(_DESCRIPTOR_KEYS))
         if key in ("A", "B", "C"):
             entries[key] = str((base / raw).resolve()) if not raw.startswith("/") else raw
         else:
-            entries[key] = _parse_value(key, raw, base)
+            entries[key] = _parse_value(raw, base)
     if "A" not in entries:
         raise ValueError(f"{path}: descriptor must name an A matrix")
     return entries

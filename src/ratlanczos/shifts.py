@@ -188,6 +188,24 @@ class ShiftedFactorization:
         return X[:, 0] if single else X
 
 
+def _dominance_certificate(M) -> bool:
+    """True when Gershgorin proves the symmetric CSC matrix M positive
+    definite: a positive diagonal d and, in every column, off-diagonal
+    absolute sum off with d - off > 4 k eps (d + off), k the largest
+    number of stored entries in a column (columns are rows, M being
+    symmetric).  The allowance covers the rounding of the computed sums,
+    so an accepted M is SPD as stored.  O(nnz) time and O(n) extra memory
+    beyond one copy of the values.
+    """
+    counts = np.diff(M.indptr)
+    if counts.min() == 0:      # an empty column has a zero diagonal
+        return False
+    d = M.diagonal()
+    off = np.add.reduceat(np.abs(M.data), M.indptr[:-1]) - d
+    tol = 4.0 * counts.max() * np.finfo(float).eps
+    return bool(np.all(d > 0.0) and np.all(d - off > tol * (d + off)))
+
+
 def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
     """Factor I - A/xi once for repeated multi right-hand-side solves.
 
@@ -201,8 +219,14 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
       row on average;
     - ``sparse-ldl`` otherwise: SuperLU in symmetric mode (diagonal
       pivots, no pivoting threshold) after a minimum-degree ordering of
-      A^T + A.  It is an LU factorization, not an LDL^T; positive
-      definiteness is read off the signs of U's diagonal.
+      A^T + A.  It is an LU factorization, not an LDL^T.  Positive
+      definiteness is proved from I - A/xi itself (symmetric, because A
+      is) when it is strictly diagonally dominant with a positive
+      diagonal, with a rounding allowance on the row sums (Gershgorin);
+      diagonal pivots of an SPD matrix are positive.  Otherwise it is
+      read off the signs of U's diagonal, which makes SciPy keep CSC
+      copies of L and U on the factor for its lifetime (about as much
+      memory again as the factor).
 
     Raises
     ------
@@ -238,11 +262,14 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
         raise IndefiniteShiftError(
             f"sparse factorization of I - A/xi failed for xi = {xi.value:g}: {exc}",
             shift=xi) from exc
-    dU = lu.U.diagonal()
-    if np.any(dU <= 0.0):
-        raise IndefiniteShiftError(
-            f"I - A/xi with xi = {xi.value:g} is not positive definite "
-            f"(pivot {dU.min():.3e})", shift=xi)
+    if not _dominance_certificate(M):
+        # reading lu.U makes SciPy build CSC copies of L and U and keep
+        # them on the factor for its lifetime
+        dU = lu.U.diagonal()
+        if np.any(dU <= 0.0):
+            raise IndefiniteShiftError(
+                f"I - A/xi with xi = {xi.value:g} is not positive definite "
+                f"(pivot {dU.min():.3e})", shift=xi)
     return ShiftedFactorization(xi, "sparse-ldl", n, lu.solve,
                                 apply_op=apply_op)
 

@@ -3,7 +3,9 @@ spectra, valid pole draws and independent reference computations."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import ratlanczos.shifts as shifts_mod
 from ratlanczos import ShiftSequence, SparseSym, arnoldi_run
 from ratlanczos.shifts import ShiftedFactorization
 
@@ -123,6 +125,38 @@ def solve_columns(monkeypatch):
 
     monkeypatch.setattr(ShiftedFactorization, "solve", counting)
     return cols
+
+
+class FactorReads:
+    """Stands in for the ``scipy.sparse.linalg`` module that
+    ``ratlanczos.shifts`` calls.  Its ``splu`` factors as SciPy does and
+    counts in ``count`` the reads of the factor's ``L`` and ``U``, which
+    make SciPy build CSC copies of both and keep them on the factor."""
+
+    def __init__(self):
+        self.count = 0
+
+    def splu(self, *args, **kwargs):
+        return _ReadCountingLU(self, spla.splu(*args, **kwargs))
+
+
+class _ReadCountingLU:
+    def __init__(self, reads, lu):
+        self._reads = reads
+        self._lu = lu
+
+    def __getattr__(self, name):
+        if name in ("L", "U"):
+            self._reads.count += 1
+        return getattr(self._lu, name)
+
+
+@pytest.fixture
+def factor_reads(monkeypatch):
+    """A ``FactorReads`` in place of ``shifts.spla`` for the test."""
+    reads = FactorReads()
+    monkeypatch.setattr(shifts_mod, "spla", reads)
+    return reads
 
 
 @pytest.fixture

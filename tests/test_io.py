@@ -61,6 +61,17 @@ def test_descriptor_requires_A(tmp_path):
         read_system_descriptor(desc)
 
 
+@pytest.mark.parametrize("line", ["x_0 = 1 2 3", "mu_nodes = 0 1"])
+def test_descriptor_rejects_unknown_key(tmp_path, line):
+    # a misspelt or retired key is an error naming the file, line and key,
+    # not a silently dropped entry
+    desc = tmp_path / "sys.txt"
+    desc.write_text(f"A = A.mtx\n# comment\n{line}\n")
+    key = line.split("=")[0].strip()
+    with pytest.raises(ValueError, match=rf"sys\.txt:3: unknown key '{key}'"):
+        read_system_descriptor(desc)
+
+
 def test_descriptor_file_reference(tmp_path, rng):
     A, _ = rand_sym(rng, 4, -5.0, -0.5)
     write_matrix_market(A, tmp_path / "A.mtx")

@@ -1,13 +1,20 @@
-"""Randomized invariants of the short recurrences on pole lists that mix
-infinite, repeated and distinct finite poles (hypothesis, derandomized)."""
+"""Randomized invariants (hypothesis, derandomized): the short
+recurrences on pole lists that mix infinite, repeated and distinct finite
+poles, and the positive definiteness decision of ``shifted_factorize``."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, event, given, settings, strategies as st  # noqa: E402
 
-from ratlanczos import RatLanczosError, SparseSym, block_run, run  # noqa: E402
+import ratlanczos.shifts as shifts_mod  # noqa: E402
+from ratlanczos import (IndefiniteShiftError, RatLanczosError, Shift,  # noqa: E402
+                        SparseSym, block_run, run, shifted_factorize)
+
+from conftest import FactorReads  # noqa: E402
 
 
 @st.composite
@@ -65,3 +72,68 @@ def test_projection_invariants_on_mixed_poles(case):
     orth = np.linalg.norm(np.eye(k) - B.T @ B, 2)
     nrm = np.linalg.norm(Ad, 2)
     assert np.abs(J - B.T @ Ad @ B).max() <= (1e-10 + 2.0 * orth) * nrm
+
+
+@st.composite
+def shifted_operators(draw):
+    """(A as a dense array, pole).  A is symmetric with n to 3n random
+    off-diagonal pairs of magnitude 0.5 to 1 and random sign, so at most
+    7 stored entries per row on average and ``shifted_factorize`` takes
+    the sparse path.  Its diagonal is free in [-2, 2], or of a drawn sign
+    and either dominant or just large enough to make A definite (rarely
+    dominant); the pole has either sign, drawn relative to the
+    diagonal's."""
+    n = draw(st.integers(2, 40))
+    pairs = draw(st.integers(n, 3 * n))
+    diagonal = draw(st.sampled_from(["free", "dominant", "definite"]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    # the pole's sign opposite to the diagonal's, or the same
+    pole_sign = -sign if draw(st.booleans()) else sign
+    pole = pole_sign * 10.0 ** draw(st.floats(-1.0, 1.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    i, j = rng.integers(0, n, (2, pairs))
+    keep = i != j
+    W = np.zeros((n, n))
+    k = keep.sum()
+    W[i[keep], j[keep]] = rng.choice([-1.0, 1.0], k) * rng.uniform(0.5, 1.0, k)
+    W = W + W.T
+    gap = rng.uniform(0.1, 2.0, n)
+    if diagonal == "dominant":
+        d = sign * (np.abs(W).sum(axis=1) + gap)
+    elif diagonal == "definite":
+        d = sign * (np.abs(np.linalg.eigvalsh(W)).max() + gap)
+    else:
+        d = rng.uniform(-2.0, 2.0, n)
+    return W + np.diag(d), pole
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(shifted_operators())
+def test_shifted_factorize_decides_definiteness(case):
+    # a factor comes back exactly when I - A/xi is positive definite, and
+    # IndefiniteShiftError is the only failure (no raw LinAlgError or
+    # RuntimeError); a dominant diagonal of the sign opposite to the pole
+    # is proved without reading L or U
+    Ad, pole = case
+    n = Ad.shape[0]
+    M = np.eye(n) - Ad * (1.0 / pole)
+    lam = np.linalg.eigvalsh(M)
+    assume(abs(lam[0]) > 1e-8 * np.abs(lam).max())
+    A = SparseSym.from_dense(Ad)
+    reads = FactorReads()
+    with mock.patch.object(shifts_mod, "spla", reads):
+        try:
+            F = shifted_factorize(A, Shift(pole))
+        except IndefiniteShiftError:
+            assert lam[0] < 0
+            event("indefinite, read pivots" if reads.count else "indefinite, singular")
+            return
+    assert lam[0] > 0
+    assert F.method == "sparse-ldl"
+    b = np.ones(n)
+    x = F.solve(b)
+    assert np.linalg.norm(M @ x - b) <= 1e-10 * lam[-1] * np.linalg.norm(x)
+    d = np.diag(Ad)
+    if np.all(d * pole < 0) and np.all(np.abs(d) > np.abs(Ad).sum(axis=1) - np.abs(d)):
+        assert reads.count == 0
+    event("definite, read pivots" if reads.count else "definite, certificate")

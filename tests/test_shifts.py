@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import ratlanczos.shifts as shifts_mod
 from ratlanczos import (INFINITY, FactorizationCache, IndefiniteShiftError,
@@ -119,6 +122,86 @@ def test_indefinite_shift_reported_on_auto_path(rng):
     assert shifted_factorize(D, Shift(-1.0)).method == "dense-cholesky"
     with pytest.raises(IndefiniteShiftError):
         shifted_factorize(D, Shift(1.5))
+
+
+@pytest.mark.parametrize("A", [gen_laplacian2d(20), gen_strakos(900, 0.01, 100, 0.45)],
+                         ids=["laplacian", "strakos"])
+def test_dominant_operator_skips_factor_copies(A, factor_reads, rng):
+    # every default pole leaves I - A/xi strictly diagonally dominant, so
+    # positive definiteness is proved without reading L or U
+    b = rng.standard_normal(A.n)
+    for xi in default_shifts(A, 12):
+        F = shifted_factorize(A, xi)
+        assert F.method == "sparse-ldl"
+        M = np.eye(A.n) - A.to_dense() / xi.value
+        assert np.linalg.norm(M @ F.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+    assert factor_reads.count == 0
+
+
+def test_dominance_certificate_needs_a_margin():
+    # a row with equality (the path-graph Laplacian, singular), a margin
+    # inside the rounding allowance, an empty column or a nonpositive
+    # diagonal proves nothing
+    L = sp.diags([-np.ones(4), [1.0, 2.0, 2.0, 2.0, 1.0], -np.ones(4)],
+                 [-1, 0, 1], format="csc")
+    eye = sp.identity(5, format="csc")
+    certified = shifts_mod._dominance_certificate
+    assert not certified(L)
+    assert not certified((L + 1e-15 * eye).tocsc())
+    assert certified((L + 1e-12 * eye).tocsc())
+    assert not certified(sp.csc_matrix(np.diag([1.0, 1.0, 0.0])))
+    assert not certified(sp.csc_matrix(np.diag([1.0, 1.0, -1.0])))
+
+
+def _signed_random_graph(n, seed):
+    """Zero-diagonal symmetric matrix with +-1 and +-2 entries on about 6
+    random positions per row.  Its spectral radius (about 5 at n = 200)
+    is far below its largest absolute row sum (13-14)."""
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, n, (2, 3 * n))
+    keep = i != j
+    W = np.zeros((n, n))
+    W[i[keep], j[keep]] = rng.choice([-1.0, 1.0], keep.sum())
+    return SparseSym.from_dense(W + W.T)
+
+
+def test_nondominant_spd_falls_back_to_pivots(factor_reads, rng):
+    # I - A/xi with xi above the spectrum is SPD, but Gershgorin cannot
+    # prove it: the pivot signs decide, and reading them costs the copies
+    A = _signed_random_graph(200, 0)
+    Ad = A.to_dense()
+    xi = 1.25 * np.linalg.eigvalsh(Ad)[-1]
+    M = np.eye(A.n) - Ad / xi
+    assert np.linalg.eigvalsh(M)[0] > 0.1
+    assert np.any(2.0 * np.diag(M) < np.abs(M).sum(axis=1))
+    F = shifted_factorize(A, Shift(xi))
+    assert F.method == "sparse-ldl"
+    assert factor_reads.count > 0
+    b = rng.standard_normal(A.n)
+    assert np.linalg.norm(M @ F.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+    # the same pattern with a pole inside the spectrum still raises
+    with pytest.raises(IndefiniteShiftError):
+        shifted_factorize(A, Shift(0.5 * xi))
+
+
+def test_certified_factor_keeps_no_python_copy():
+    # the SuperLU factor lives outside the Python heap; CSC copies of L
+    # and U (5.9x the bytes of M here) would stay allocated with it.  The
+    # peak is set by building M: I, A/xi and their difference (2.5x)
+    A = gen_laplacian2d(60)
+    xi = default_shifts(A, 1)[0]
+    M = (sp.identity(A.n, format="csr") - A.to_scipy() / xi.value).tocsc()
+    m_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    shifted_factorize(A, xi)
+    tracemalloc.start()
+    try:
+        F = shifted_factorize(A, xi)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert F.method == "sparse-ldl"
+    assert kept < 2 * m_bytes
+    assert peak < 3 * m_bytes
 
 
 def test_sign_check_warns():
