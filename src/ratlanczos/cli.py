@@ -116,8 +116,7 @@ def _matrix_from_args(args):
         A = read_matrix_market(args.matrix)
         if args.diag_shift:
             M = A.to_scipy() + args.diag_shift * sp.identity(A.n, format="csr")
-            hint = "negative" if args.diag_shift < 0 else "unknown"
-            A = SparseSym._from_scipy(M.tocsr(), hint)
+            A = SparseSym._from_scipy(M.tocsr())
         return A
     if args.gen == "strakos":
         return gen_strakos(args.n, args.lam1, args.lamn, args.rho)
@@ -186,6 +185,9 @@ def cmd_biform(args):
     outdir = resolve_outdir(args)
     A = _matrix_from_args(args)
     n = A.n
+    for flag, index in (("--index", args.index), ("--index2", args.index2)):
+        if index is not None and not 0 <= index < n:
+            raise ValueError(f"{flag} {index} is outside [0, {n})")
     v = _unit_vector(n, args.index, args.seed)
     u = v if args.index2 is None else _unit_vector(n, args.index2, args.seed + 1)
     strategy = args.strategy
@@ -262,7 +264,7 @@ def cmd_trace(args):
 
 
 def _demo_system():
-    A = SparseSym.from_dense(np.diag([-1.0, -2.0]), definiteness_hint="negative")
+    A = SparseSym.from_dense(np.diag([-1.0, -2.0]))
     return LtiSystem(A=A, B=np.array([1.0, 0.0]), C=np.array([[1.0, 0.0]]))
 
 
@@ -349,8 +351,7 @@ def lqr_system(nbar, scaling="physical"):
     """
     A = gen_laplacian2d(nbar)
     if scaling == "physical":
-        A = SparseSym._from_scipy(A.to_scipy() * float(nbar - 1) ** 4,
-                                  definiteness_hint="negative")
+        A = SparseSym._from_scipy(A.to_scipy() * float(nbar - 1) ** 4)
     elif scaling != "inverse-grid":
         raise ValueError(f"unknown scaling {scaling!r}")
     n = A.n
@@ -437,8 +438,7 @@ def cmd_normalize(args):
         M = sp.diags(d) @ M @ sp.diags(d)
     if args.shift:
         M = M + args.shift * sp.identity(M.shape[0], format="csr")
-    hint = "negative" if args.shift and args.shift <= -2.0 else "unknown"
-    out = SparseSym._from_scipy(M.tocsr(), hint)
+    out = SparseSym._from_scipy(M.tocsr())
     write_matrix_market(out, args.outfile)
     print(f"wrote {args.outfile}: n={out.n} nnz={out.nnz}")
     return 0

@@ -11,7 +11,6 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,20 +85,11 @@ class LtiSystem:
 
 def warn_if_unstable(sys: LtiSystem):
     """Cheap stability screen: warn when the largest Ritz value of 20
-    polynomial Lanczos steps on A is nonnegative.  Definiteness hints
-    short-circuit the check."""
-    hint = sys.A.definiteness_hint
-    if hint == "negative":
-        return
-    if hint == "positive":
-        warnings.warn("system matrix is positive definite, hence unstable",
-                      stacklevel=2)
-        return
-    from .lanczos import run
+    polynomial Lanczos steps on A is nonnegative."""
     g = np.random.Generator(np.random.Philox(key=np.uint64(0)))
     v = g.standard_normal(sys.n)
     m = max(1, min(20, sys.n - 1))
-    res = run(sys.A, v, ShiftSequence.all_infinite(m), m)
+    res = block_run(sys.A, v[:, None], ShiftSequence.all_infinite(m), m)
     lam, _ = sym_eig(res.J)
     if lam[-1] >= 0.0:
         warnings.warn(
@@ -159,8 +149,8 @@ def _h2_value(J, gamma, side_proj):
     return math.sqrt(max(val, 0.0))
 
 
-def h2_norm(sys: LtiSystem, shifts=None, tol=1e-8, s=1, max_m=80,
-            retain_basis=False) -> H2Result:
+def h2_norm(sys: LtiSystem, shifts=None, tol=1e-8, s=1,
+            max_m=80) -> H2Result:
     """H2 norm of a stable symmetric system by Gramian projection.
 
     Each step solves the reduced Lyapunov equation of the Gramian whose
@@ -168,8 +158,7 @@ def h2_norm(sys: LtiSystem, shifts=None, tol=1e-8, s=1, max_m=80,
     accumulated opposite-side projection; the run stops when two norm
     iterates lagged by ``s`` agree to relative ``tol``.
     """
-    return _h2_norm(sys, shifts, tol, s, max_m,
-                    partial(block_run, retain_basis=retain_basis), "lanczos")
+    return _h2_norm(sys, shifts, tol, s, max_m, block_run, "lanczos")
 
 
 def h2_norm_arnoldi(sys: LtiSystem, shifts=None, tol=1e-8, s=1,

@@ -447,7 +447,7 @@ def gp_precision_matrix(points, phi, delta) -> SparseSym:
     rows = np.concatenate([pairs[:, 0], pairs[:, 1], np.arange(n)])
     cols = np.concatenate([pairs[:, 1], pairs[:, 0], np.arange(n)])
     vals = np.concatenate([-phi * gamma, -phi * gamma, diag])
-    return SparseSym.from_coo(n, rows, cols, vals, definiteness_hint="positive")
+    return SparseSym.from_coo(n, rows, cols, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from .sparse import SparseSym
 
 
-def read_matrix_market(path, definiteness_hint="unknown") -> SparseSym:
+def read_matrix_market(path) -> SparseSym:
     """Read a symmetric sparse matrix from a .mtx file.
 
     Accepts both symmetric and general coordinate storage; a general
@@ -18,7 +18,7 @@ def read_matrix_market(path, definiteness_hint="unknown") -> SparseSym:
     M = sio.mmread(str(path))
     if not sp.issparse(M):
         M = sp.csr_matrix(M)
-    return SparseSym._from_scipy(M.tocsr(), definiteness_hint)
+    return SparseSym._from_scipy(M.tocsr())
 
 
 def write_matrix_market(A: SparseSym, path):
@@ -58,7 +58,8 @@ def read_system_descriptor(path):
     optionally ``B``, ``C``) name Matrix Market files relative to the
     descriptor.  ``E`` (mass-matrix diagonal), ``R`` and ``x0`` may be
     inline whitespace-separated numbers (rows split by ``;``) or ``file:``
-    references.  Any other key raises ``ValueError`` naming the line.
+    references.  Any other key, or a key given twice, raises ``ValueError``
+    naming the line.
 
     Returns a dict of parsed entries; matrix assembly is the caller's
     concern (see control.system_from_descriptor).
@@ -66,6 +67,7 @@ def read_system_descriptor(path):
     path = Path(path)
     base = path.parent
     entries = {}
+    seen = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -79,6 +81,10 @@ def read_system_descriptor(path):
             raise ValueError(
                 f"{path}:{lineno}: unknown key {key!r}; expected one of "
                 + ", ".join(_DESCRIPTOR_KEYS))
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: key {key!r} already given "
+                             f"on line {seen[key]}")
+        seen[key] = lineno
         if key in ("A", "B", "C"):
             entries[key] = str((base / raw).resolve()) if not raw.startswith("/") else raw
         else:

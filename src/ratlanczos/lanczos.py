@@ -311,7 +311,6 @@ def _drive(A: SparseSym, shifts, m, start, step, callback=None,
         raise ShiftError(f"{len(shifts)} poles supplied for m = {m} steps")
     if m < 1:
         raise ValueError("m must be >= 1")
-    shifts.check_sign_against(A)
     if solver_cache is None:
         solver_cache = FactorizationCache(A)
 

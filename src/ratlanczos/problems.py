@@ -20,7 +20,7 @@ def gen_laplacian2d(nbar) -> SparseSym:
                  [-1, 0, 1], format="csr")
     I = sp.identity(nbar, format="csr")
     A = (sp.kron(T, I) + sp.kron(I, T)).tocsr() / (nbar - 1) ** 2
-    return SparseSym._from_scipy(A, definiteness_hint="negative")
+    return SparseSym._from_scipy(A)
 
 
 def grid_coords(nbar):
@@ -60,9 +60,8 @@ def gen_strakos(n, lam1, lamn, rho) -> SparseSym:
         raise ValueError("lam1 must be below lamn")
     i = np.arange(1, n + 1, dtype=float)
     lam = lam1 + (i - 1.0) / (n - 1.0) * (lamn - lam1) * rho ** (n - i)
-    hint = "positive" if lam1 > 0 else ("negative" if lamn < 0 else "indefinite")
     idx = np.arange(n)
-    return SparseSym.from_coo(n, idx, idx, lam, definiteness_hint=hint)
+    return SparseSym.from_coo(n, idx, idx, lam)
 
 
 def strakos_eigenvalues(n, lam1, lamn, rho):

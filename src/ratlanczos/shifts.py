@@ -1,7 +1,6 @@
 """Poles, shifted operators I - A/xi and their reusable factorizations."""
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,24 +101,6 @@ class ShiftSequence:
     def values(self):
         return np.array([s.value for s in self.shifts])
 
-    def check_sign_against(self, A: SparseSym):
-        """Warn if a finite pole shares the sign of a definite operator.
-
-        Poles of the same sign as the spectrum can make I - A/xi indefinite.
-        """
-        hint = A.definiteness_hint
-        if hint not in ("positive", "negative"):
-            return
-        want_negative = hint == "positive"
-        for k, s in enumerate(self.shifts):
-            if s.is_infinite:
-                continue
-            if (s.value < 0) != want_negative:
-                warnings.warn(
-                    f"pole {k + 1} ({s.value:g}) has the same sign as the "
-                    f"{hint} definite operator; the shifted matrix may be "
-                    "indefinite", stacklevel=2)
-
 
 def default_shifts(A: SparseSym, m):
     """Fallback pole sequence when the caller supplies none.
@@ -128,11 +109,12 @@ def default_shifts(A: SparseSym, m):
     norm(A) from ``power_iteration(A)``; every other one is used for two
     consecutive steps (xi_1, xi_1, xi_3, xi_3, ...), cycled to length
     ``m``, so an odd ``m`` cuts the last pair.  A repeated pole needs no
-    new factorization and half the solve columns of its step.  The sign is taken opposite to
-    the operator's definiteness so every shifted matrix stays positive
-    definite (positive poles for a stable, negative definite operator);
-    without a definiteness hint the Rayleigh quotient of the power
-    iterate decides.
+    new factorization and half the solve columns of its step.  The sign
+    is opposite to the Rayleigh quotient of the power iterate.  For a
+    definite operator that quotient has the sign of the spectrum, so every
+    shifted matrix I - A/xi is positive definite (positive poles for a
+    stable, negative definite operator); ``shifted_factorize`` proves it
+    or raises ``IndefiniteShiftError``.
     """
     nrm, v = power_iteration(A)
     return _poles_from_power(A, m, nrm, v)
@@ -143,13 +125,7 @@ def _poles_from_power(A: SparseSym, m, nrm, v):
     ``nrm, v = power_iteration(A)``."""
     if nrm == 0.0:
         nrm = 1.0
-    hint = A.definiteness_hint
-    if hint == "negative":
-        sign = 1.0
-    elif hint == "positive":
-        sign = -1.0
-    else:
-        sign = 1.0 if float(v @ A.matvec(v)) < 0.0 else -1.0
+    sign = 1.0 if float(v @ A.matvec(v)) < 0.0 else -1.0
     mags = np.logspace(math.log10(nrm), math.log10(nrm) - 6, 12)
     return ShiftSequence.cycled([sign * mg for mg in np.repeat(mags[::2], 2)], m)
 

@@ -5,8 +5,6 @@ import scipy.sparse as sp
 
 from .errors import DimensionError, SymmetryError
 
-DEFINITENESS_HINTS = ("positive", "negative", "indefinite", "unknown")
-
 
 class SparseSym:
     """Symmetric sparse matrix stored in canonical CSR form.
@@ -22,14 +20,9 @@ class SparseSym:
         Dimension.
     row_ptr, col_idx, values : array_like
         CSR arrays.
-    definiteness_hint : str
-        One of ``positive``, ``negative``, ``indefinite``, ``unknown``.
-        Advisory only; used for pole sign checks and solver defaults.
     """
 
-    def __init__(self, n, row_ptr, col_idx, values, definiteness_hint="unknown"):
-        if definiteness_hint not in DEFINITENESS_HINTS:
-            raise ValueError(f"unknown definiteness hint {definiteness_hint!r}")
+    def __init__(self, n, row_ptr, col_idx, values):
         mat = sp.csr_matrix(
             (np.asarray(values, dtype=float),
              np.asarray(col_idx, dtype=np.int64),
@@ -40,25 +33,23 @@ class SparseSym:
         mat.sort_indices()
         _check_symmetric(mat)
         self._mat = mat
-        self.definiteness_hint = definiteness_hint
 
     @classmethod
-    def _from_scipy(cls, mat, definiteness_hint="unknown"):
+    def _from_scipy(cls, mat):
         mat = sp.csr_matrix(mat)
-        return cls(mat.shape[0], mat.indptr, mat.indices, mat.data,
-                   definiteness_hint=definiteness_hint)
+        return cls(mat.shape[0], mat.indptr, mat.indices, mat.data)
 
     @classmethod
-    def from_dense(cls, A, definiteness_hint="unknown"):
+    def from_dense(cls, A):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-        return cls._from_scipy(sp.csr_matrix(A), definiteness_hint)
+        return cls._from_scipy(sp.csr_matrix(A))
 
     @classmethod
-    def from_coo(cls, n, rows, cols, vals, definiteness_hint="unknown"):
+    def from_coo(cls, n, rows, cols, vals):
         mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        return cls._from_scipy(mat, definiteness_hint)
+        return cls._from_scipy(mat)
 
     @property
     def n(self):
@@ -105,8 +96,7 @@ class SparseSym:
         return self._mat
 
     def scaled_rows_cols(self, d):
-        """Return diag(d) @ A @ diag(d) as a new SparseSym with A's
-        definiteness hint (a congruence keeps the inertia)."""
+        """Return diag(d) @ A @ diag(d) as a new SparseSym."""
         d = np.asarray(d, dtype=float)
         if d.shape != (self.n,):
             raise DimensionError("scaling vector length mismatch")
@@ -115,11 +105,10 @@ class SparseSym:
         # d_i * d_j first: IEEE multiplication commutes, so the scaled
         # entry (i, j) stays bit-equal to (j, i)
         mat.data = mat.data * (d[rows] * d[mat.indices])
-        return SparseSym._from_scipy(mat, self.definiteness_hint)
+        return SparseSym._from_scipy(mat)
 
     def __repr__(self):
-        return (f"SparseSym(n={self.n}, nnz={self.nnz}, "
-                f"hint={self.definiteness_hint!r})")
+        return f"SparseSym(n={self.n}, nnz={self.nnz})"
 
 
 def _check_symmetric(mat):

@@ -17,13 +17,7 @@ def rand_sym(rng, n, lam_lo, lam_hi):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     M = (Q * lam) @ Q.T
     M = 0.5 * (M + M.T)
-    if lam_lo > 0:
-        hint = "positive"
-    elif lam_hi < 0:
-        hint = "negative"
-    else:
-        hint = "indefinite"
-    return SparseSym.from_dense(M, definiteness_hint=hint), M
+    return SparseSym.from_dense(M), M
 
 
 def rand_shifts(rng, m, lam_lo, lam_hi):

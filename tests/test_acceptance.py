@@ -35,7 +35,7 @@ def _log_uniform_instance(rng, n, span=1e4):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     Ad = (Q * lam) @ Q.T
     Ad = 0.5 * (Ad + Ad.T)
-    return SparseSym.from_dense(Ad, definiteness_hint="positive"), Ad
+    return SparseSym.from_dense(Ad), Ad
 
 
 def _log_uniform_shifts(rng, m, span=1e4):
@@ -268,7 +268,7 @@ def test_criterion_7_finite_precision_study():
 def test_criterion_8_h2_checks():
     """Analytic 2x2 norm, Galerkin residuals, parametric cross-check."""
     # analytic value
-    A = SparseSym.from_dense(np.diag([-1.0, -2.0]), definiteness_hint="negative")
+    A = SparseSym.from_dense(np.diag([-1.0, -2.0]))
     sys_ = LtiSystem(A=A, B=np.array([1.0, 0.0]), C=np.array([[1.0, 0.0]]))
     r = rl.h2_norm(sys_, ShiftSequence([3.0, 4.0]), tol=1e-12, s=1, max_m=2)
     analytic_err = abs(r.norm - np.sqrt(0.5))
@@ -284,8 +284,11 @@ def test_criterion_8_h2_checks():
         m = int(rng.integers(4, 12))
         sh = ShiftSequence([abs(s.value) for s in rand_shifts(rng, m, 0.4, 10.0)])
         res = rl.h2_norm(LtiSystem(A=Asys, B=B, C=C), sh, tol=1e-14, s=1,
-                         max_m=m, retain_basis=True)
-        blk = res.block
+                         max_m=m)
+        # the same run with its basis kept: seed C^T, side B
+        blk = rl.block_run(Asys, C.T, sh, res.iterations, side_matrix=B,
+                           retain_basis=True)
+        assert np.array_equal(blk.J, res.block.J)
         Q = blk.basis[:, :blk.m * blk.p]
         W = np.zeros((blk.m * blk.p,) * 2)
         W[:blk.p, :blk.p] = blk.R0 @ blk.R0.T

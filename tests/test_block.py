@@ -28,8 +28,7 @@ def test_block_width_one_matches_scalar(rng):
 
 
 def test_invariant_block_subspace_breaks_down():
-    A = SparseSym.from_dense(np.diag(np.arange(1.0, 7.0)),
-                             definiteness_hint="positive")
+    A = SparseSym.from_dense(np.diag(np.arange(1.0, 7.0)))
     V = np.zeros((6, 2))
     V[0, 0] = 1.0
     V[1, 1] = 1.0
@@ -96,8 +95,7 @@ def test_rank_deficient_start_block_rejected(rng):
 def test_immediate_rank_collapse_requests_deflation(rng):
     # one start column is an eigenvector: its chain contributes no new
     # direction, so the very first normalization block is rank deficient
-    A = SparseSym.from_dense(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]),
-                             definiteness_hint="positive")
+    A = SparseSym.from_dense(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
     V = np.zeros((5, 2))
     V[0, 0] = 1.0
     V[:, 1] = rng.standard_normal(5)
@@ -111,8 +109,7 @@ def test_immediate_rank_collapse_requests_deflation(rng):
 def test_partial_rank_collapse_after_one_step(rng):
     # first column spans a 2-d invariant subspace: its chain saturates at
     # step 2 while the generic column keeps producing directions
-    A = SparseSym.from_dense(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
-                             definiteness_hint="positive")
+    A = SparseSym.from_dense(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
     V = np.zeros((6, 2))
     V[0, 0] = 1.0
     V[1, 0] = 1.0
@@ -138,7 +135,7 @@ def test_trailing_short_block_requests_deflation(runner):
     V = rng.standard_normal((7, 4))
     poles = ShiftSequence([-float(x) for x in rng.uniform(0.1, 10.0, 7)])
     Ad = (Q * lam) @ Q.T
-    A = SparseSym.from_dense(0.5 * (Ad + Ad.T), definiteness_hint="positive")
+    A = SparseSym.from_dense(0.5 * (Ad + Ad.T))
     req = FormRequest(f="sqrt", tol=1e-12, s=1, max_m=7)
     with pytest.raises(DeflationNeededError) as exc:
         _block_quad_form(A, V, poles, req, None, runner)

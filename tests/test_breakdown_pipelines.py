@@ -29,13 +29,13 @@ def _unit(*idx):
 
 
 def _spd():
-    return SparseSym.from_dense(np.diag(LAM), definiteness_hint="positive")
+    return SparseSym.from_dense(np.diag(LAM))
 
 
 def _stable_system():
     """-diag(1..6) observed through e_0 + e_1: the seed spans an invariant
     subspace of dimension 2."""
-    A = SparseSym.from_dense(-np.diag(LAM), definiteness_hint="negative")
+    A = SparseSym.from_dense(-np.diag(LAM))
     return LtiSystem(A=A, B=np.ones((LAM.size, 1)), C=_unit(0, 1)[None, :],
                      R=np.array([[1.0]]), x0=np.linspace(1.0, 2.0, LAM.size))
 
@@ -131,7 +131,7 @@ def test_lqr_twin_matches_on_invariant_seed():
 
 @pytest.mark.parametrize("twin", [h2_norm_arnoldi, lqr_reduce_arnoldi])
 def test_control_twins_screen_stability(twin):
-    A = SparseSym.from_dense(np.diag(LAM), definiteness_hint="positive")
+    A = SparseSym.from_dense(np.diag(LAM))
     sys_ = LtiSystem(A=A, B=np.ones((LAM.size, 1)), C=_unit(0)[None, :],
                      R=np.array([[1.0]]), x0=np.ones(LAM.size))
     with pytest.warns(UserWarning, match="unstable"):

@@ -58,6 +58,19 @@ def test_biform_bilinear_indices(tmp_path):
     assert summary["results"]["termination"] == "block2x2"
 
 
+@pytest.mark.parametrize("flag", ["--index", "--index2"])
+@pytest.mark.parametrize("index", [50, -1])
+def test_biform_index_out_of_range(tmp_path, capsys, flag, index):
+    # an index outside [0, n) is a JSON error record naming the flag, not
+    # a raw IndexError or (for -1) silently the last entry
+    code = run_cli(["biform", "--gen", "strakos", "--n", "50", flag, index,
+                    "--outdir", tmp_path])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{flag} {index} ")
+
+
 def test_trace_smoke(tmp_path):
     args = ["trace", "--n", "300", "--probes", "6", "--p", "3",
             "--max-m", "20", "--compare", "--outdir", tmp_path]

@@ -3,9 +3,10 @@ import pytest
 import scipy.linalg as sla
 
 from ratlanczos import (LtiSystem, ParametricIO, ReducedController,
-                        ShiftSequence, SparseSym, StabilityError, eval_control,
-                        h2_norm, h2_norm_arnoldi, h2_param_norm, l2_stop_metric,
-                        lqr_reduce, lqr_reduce_arnoldi, mass_transform)
+                        ShiftSequence, SparseSym, StabilityError, block_run,
+                        eval_control, h2_norm, h2_norm_arnoldi, h2_param_norm,
+                        l2_stop_metric, lqr_reduce, lqr_reduce_arnoldi,
+                        lyap_sym, mass_transform)
 from ratlanczos.cli import lqr_system
 from ratlanczos.control import warn_if_unstable
 
@@ -34,7 +35,7 @@ def test_mass_transform_identity(rng):
 
 
 def test_mass_transform_hand_scaling():
-    A = SparseSym.from_dense(np.diag([-4.0, -1.0]), definiteness_hint="negative")
+    A = SparseSym.from_dense(np.diag([-4.0, -1.0]))
     sys_ = LtiSystem(A=A, B=np.eye(2), C=np.eye(2), E=np.array([4.0, 1.0]),
                      x0=np.array([1.0, 1.0]))
     t = mass_transform(sys_)
@@ -62,7 +63,7 @@ def test_mass_transform_preserves_h2(rng):
 
 
 def test_mass_transform_rejects_nonpositive():
-    A = SparseSym.from_dense(np.diag([-1.0, -1.0]), definiteness_hint="negative")
+    A = SparseSym.from_dense(np.diag([-1.0, -1.0]))
     with pytest.raises(ValueError):
         LtiSystem(A=A, B=np.eye(2), C=np.eye(2), E=np.array([1.0, 0.0]))
 
@@ -71,14 +72,14 @@ def test_mass_transform_rejects_nonpositive():
 # H2 norm
 
 def test_h2_analytic_2x2():
-    A = SparseSym.from_dense(np.diag([-1.0, -2.0]), definiteness_hint="negative")
+    A = SparseSym.from_dense(np.diag([-1.0, -2.0]))
     sys_ = LtiSystem(A=A, B=np.array([1.0, 0.0]), C=np.array([[1.0, 0.0]]))
     res = h2_norm(sys_, ShiftSequence([3.0, 4.0]), tol=1e-12, s=1, max_m=2)
     assert abs(res.norm - np.sqrt(0.5)) <= 1e-12
 
 
 def test_h2_zero_input():
-    A = SparseSym.from_dense(np.diag([-1.0, -2.0]), definiteness_hint="negative")
+    A = SparseSym.from_dense(np.diag([-1.0, -2.0]))
     sys_ = LtiSystem(A=A, B=np.zeros((2, 1)), C=np.array([[1.0, 0.0]]))
     res = h2_norm(sys_, ShiftSequence([3.0, 4.0]), tol=1e-10, s=1, max_m=2)
     assert res.norm == 0.0
@@ -102,15 +103,20 @@ def test_h2_galerkin_residual(rng):
     n = 30
     sys_, Ad = _rand_stable_system(rng, n=n, p=2, q=1)
     sh = ShiftSequence([abs(s.value) for s in rand_shifts(rng, 12, 0.5, 10.0)])
-    res = h2_norm(sys_, sh, tol=1e-13, s=1, max_m=12, retain_basis=True)
-    blk = res.block
-    m, q = blk.m, 1
+    res = h2_norm(sys_, sh, tol=1e-13, s=1, max_m=12)
+    assert res.seeded_with == "observability"
+    # the same run with its basis kept: seed C^T, side B
+    m, q = res.iterations, 1
+    blk = block_run(sys_.A, sys_.C.T, sh, m, side_matrix=sys_.B,
+                    retain_basis=True)
+    assert np.array_equal(blk.J, res.block.J)
     Q = blk.basis[:, :m * q]
     gamma = blk.R0
     W = np.zeros((m * q, m * q))
     W[:q, :q] = gamma @ gamma.T
-    from ratlanczos import lyap_sym
     Y = lyap_sym(blk.J, W)
+    G = blk.side_projections
+    assert res.norm == pytest.approx(np.sqrt(np.sum(G * (Y @ G))), rel=1e-12)
     P = Q @ Y @ Q.T
     residual = Ad @ P + P @ Ad + sys_.C.T @ sys_.C
     g = Q.T @ residual @ Q
@@ -193,7 +199,7 @@ def test_param_weight_validation(rng):
 # LQR
 
 def test_lqr_zero_output_gives_zero_control():
-    A = SparseSym.from_dense(np.diag([-1.0, -2.0]), definiteness_hint="negative")
+    A = SparseSym.from_dense(np.diag([-1.0, -2.0]))
     sys_ = LtiSystem(A=A, B=np.eye(2), C=np.zeros((1, 2)), R=np.eye(2),
                      x0=np.array([1.0, 1.0]))
     res = lqr_reduce(sys_, ShiftSequence([3.0]), tol=1e-8, s=1, max_m=2)
@@ -202,7 +208,7 @@ def test_lqr_zero_output_gives_zero_control():
 
 
 def test_lqr_scalar_analytic():
-    A = SparseSym.from_dense(np.array([[-1.0]]), definiteness_hint="negative")
+    A = SparseSym.from_dense(np.array([[-1.0]]))
     sys_ = LtiSystem(A=A, B=np.array([1.0]), C=np.array([[1.0]]),
                      R=np.array([[1.0]]), x0=np.array([1.0]))
     res = lqr_reduce(sys_, ShiftSequence([5.0]), tol=1e-8, s=1, max_m=1)

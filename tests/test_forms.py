@@ -5,7 +5,8 @@ import pytest
 
 from ratlanczos import (FactorizationCache, FormRequest, RankDeficiencyError,
                         ShiftSequence, SparseSym, TraceRequest, bilinear_form,
-                        block_quad_form, gp_precision_matrix, hutchinson_trace, init_state,
+                        block_quad_form, default_shifts, gp_precision_matrix,
+                        hutchinson_trace, init_state,
                         lanczos_step, logdet, norm_estimate, quad_form,
                         rademacher_block, residual_bound, run)
 from ratlanczos.dense import matfun_action_e1
@@ -26,8 +27,7 @@ def test_identity_function_first_iterate_exact(rng):
 
 
 def test_eigenvector_start_is_exact_after_one_step():
-    A = SparseSym.from_dense(np.diag([1.0, 4.0, 9.0]),
-                             definiteness_hint="positive")
+    A = SparseSym.from_dense(np.diag([1.0, 4.0, 9.0]))
     v = np.array([0.0, 1.0, 0.0])
     req = FormRequest(f="sqrt", tol=1e-12, s=1, max_m=5)
     res = quad_form(A, v, ShiftSequence.cycled([-2.0], 5), req)
@@ -108,7 +108,7 @@ def test_residual_bound_dominates_true_residual(rng):
 
 
 def test_residual_bound_zero_at_breakdown():
-    A = SparseSym.from_dense(np.diag([-1.0, -2.0]), definiteness_hint="negative")
+    A = SparseSym.from_dense(np.diag([-1.0, -2.0]))
     st = init_state(A, np.array([1.0, 0.0]), 2)
     from ratlanczos.shifts import Shift
     lanczos_step(A, st, Shift(1.0))
@@ -140,7 +140,7 @@ def test_strategies_agree_for_equal_vectors(rng):
 
 
 def test_orthogonal_eigenvectors_give_zero():
-    A = SparseSym.from_dense(np.diag([1.0, 2.0]), definiteness_hint="positive")
+    A = SparseSym.from_dense(np.diag([1.0, 2.0]))
     u = np.array([1.0, 0.0])
     v = np.array([0.0, 1.0])
     sh = ShiftSequence.cycled([-3.0], 4)
@@ -175,8 +175,7 @@ def test_quadratic_strategy_requires_equal_vectors(rng):
 # block forms
 
 def test_block_form_eigenvector_block_exact():
-    A = SparseSym.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]),
-                             definiteness_hint="positive")
+    A = SparseSym.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))
     V = np.zeros((4, 2))
     V[1, 0] = 1.0
     V[3, 1] = 1.0
@@ -315,14 +314,14 @@ def test_probe_stream_reproducible():
 
 
 def test_logdet_identity_and_diagonal():
-    A = SparseSym.from_dense(np.eye(6), definiteness_hint="positive")
+    A = SparseSym.from_dense(np.eye(6))
     req = TraceRequest(f="log", num_probes=4, block_size=2, seed=1,
                        shifts=ShiftSequence.cycled([-1.0], 8), tol=1e-12,
                        s=1, max_m=8)
     res = logdet(A, req)
     assert abs(res.logdet) <= 1e-12
 
-    D = SparseSym.from_dense(np.diag([2.0, 4.0]), definiteness_hint="positive")
+    D = SparseSym.from_dense(np.diag([2.0, 4.0]))
     req = TraceRequest(f="log", num_probes=4, block_size=1, seed=1,
                        shifts=ShiftSequence.cycled([-1.0], 3), tol=1e-12,
                        s=1, max_m=3)
@@ -365,7 +364,7 @@ def test_gp_density_scale():
     pts = gp_points(1000, seed=7)
     A = gp_precision_matrix(pts, phi=20.0, delta=0.02)
     assert 1800 <= A.nnz <= 2900
-    assert A.definiteness_hint == "positive"
+    assert np.all(default_shifts(A, 12).values() < 0.0)
     lam_min = np.linalg.eigvalsh(A.to_dense()).min()
     assert lam_min >= 1.0 - 1e-10
 

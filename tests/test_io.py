@@ -5,6 +5,7 @@ from ratlanczos import (read_matrix_market, read_system_descriptor,
                         write_matrix_market)
 from ratlanczos.control import system_from_descriptor
 from ratlanczos.problems import gen_laplacian2d
+from ratlanczos.shifts import default_shifts
 
 from conftest import rand_sym
 
@@ -26,10 +27,10 @@ def test_matrix_market_sparse_roundtrip(tmp_path):
     A = gen_laplacian2d(6)
     path = tmp_path / "lap.mtx"
     write_matrix_market(A, path)
-    B = read_matrix_market(path, definiteness_hint="negative")
+    B = read_matrix_market(path)
     assert B.nnz == A.nnz
     assert np.array_equal(B.to_dense(), A.to_dense())
-    assert B.definiteness_hint == "negative"
+    assert np.all(default_shifts(B, 12).values() > 0.0)
 
 
 def test_descriptor_parsing(tmp_path, rng):
@@ -69,6 +70,15 @@ def test_descriptor_rejects_unknown_key(tmp_path, line):
     desc.write_text(f"A = A.mtx\n# comment\n{line}\n")
     key = line.split("=")[0].strip()
     with pytest.raises(ValueError, match=rf"sys\.txt:3: unknown key '{key}'"):
+        read_system_descriptor(desc)
+
+
+def test_descriptor_rejects_repeated_key(tmp_path):
+    # a second A line is an error naming both lines, not a silent override
+    desc = tmp_path / "sys.txt"
+    desc.write_text("A = a.mtx\n# comment\nA = b.mtx\n")
+    with pytest.raises(ValueError,
+                       match=r"sys\.txt:3: key 'A' already given on line 1"):
         read_system_descriptor(desc)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from ratlanczos.problems import (gen_indicator, gen_laplacian2d, gen_strakos,
                                  gp_points, grid_coords, strakos_eigenvalues)
+from ratlanczos.shifts import default_shifts
 
 
 def test_laplacian_3x3_stencil():
@@ -20,7 +21,7 @@ def test_laplacian_negative_definite():
     A = gen_laplacian2d(8)
     lam = np.linalg.eigvalsh(A.to_dense())
     assert lam.max() < 0.0
-    assert A.definiteness_hint == "negative"
+    assert np.all(default_shifts(A, 12).values() > 0.0)
 
 
 def test_laplacian_large_dimension():
@@ -50,7 +51,8 @@ def test_strakos_validation():
         gen_strakos(10, 0.01, 100.0, 0.0)
     with pytest.raises(ValueError):
         gen_strakos(10, 100.0, 0.01, 0.5)
-    assert gen_strakos(10, 0.01, 100.0, 0.5).definiteness_hint == "positive"
+    A = gen_strakos(10, 0.01, 100.0, 0.5)
+    assert np.all(default_shifts(A, 12).values() < 0.0)
 
 
 def test_indicator_full_and_empty():

@@ -1,6 +1,7 @@
 """Randomized invariants (hypothesis, derandomized): the short
 recurrences on pole lists that mix infinite, repeated and distinct finite
-poles, and the positive definiteness decision of ``shifted_factorize``."""
+poles, the positive definiteness decision of ``shifted_factorize``, and
+the sign of the default poles."""
 
 from unittest import mock
 
@@ -12,7 +13,8 @@ from hypothesis import assume, event, given, settings, strategies as st  # noqa:
 
 import ratlanczos.shifts as shifts_mod  # noqa: E402
 from ratlanczos import (IndefiniteShiftError, RatLanczosError, Shift,  # noqa: E402
-                        SparseSym, block_run, run, shifted_factorize)
+                        SparseSym, block_run, default_shifts, run,
+                        shifted_factorize)
 
 from conftest import FactorReads  # noqa: E402
 
@@ -45,7 +47,7 @@ def test_projection_invariants_on_mixed_poles(case):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     Ad = (Q * lam) @ Q.T
     Ad = 0.5 * (Ad + Ad.T)
-    A = SparseSym.from_dense(Ad, definiteness_hint="positive")
+    A = SparseSym.from_dense(Ad)
     poles = []
     for s in steps:
         if s == "inf" or (s == "repeat" and not poles):
@@ -137,3 +139,21 @@ def test_shifted_factorize_decides_definiteness(case):
     if np.all(d * pole < 0) and np.all(np.abs(d) > np.abs(Ad).sum(axis=1) - np.abs(d)):
         assert reads.count == 0
     event("definite, read pivots" if reads.count else "definite, certificate")
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.integers(2, 40), st.sampled_from([-1.0, 1.0]), st.floats(0.0, 4.0),
+       st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+def test_default_poles_oppose_a_definite_spectrum(n, sign, log_cond, log_scale,
+                                                  seed):
+    # the sign read from the power iterate's Rayleigh quotient is opposite
+    # to every definite spectrum, so each distinct default pole factors
+    rng = np.random.default_rng(seed)
+    lam = sign * 10.0 ** (log_scale - rng.uniform(0.0, log_cond, n))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Ad = (Q * lam) @ Q.T
+    A = SparseSym.from_dense(0.5 * (Ad + Ad.T))
+    seq = default_shifts(A, 12)
+    assert np.all(np.sign(seq.values()) == -sign)
+    for xi in set(seq):
+        shifted_factorize(A, xi)

@@ -31,7 +31,7 @@ def test_infinite_shift_identity_solve(rng):
 
 
 def test_diagonal_shift_solve():
-    A = SparseSym.from_dense(np.diag([-1.0, -2.0]), definiteness_hint="negative")
+    A = SparseSym.from_dense(np.diag([-1.0, -2.0]))
     F = shifted_factorize(A, Shift(1.0))
     # I - A/1 = diag(2, 3)
     x = F.solve(np.array([2.0, 3.0]))
@@ -43,8 +43,7 @@ def _complete_graph_laplacian(rng, n):
     entries per row, so ``shifted_factorize`` takes the dense side."""
     W = np.triu(rng.uniform(0.5, 1.0, (n, n)), 1)
     W = W + W.T
-    return SparseSym.from_dense(W - np.diag(W.sum(axis=1)),
-                                definiteness_hint="negative")
+    return SparseSym.from_dense(W - np.diag(W.sum(axis=1)))
 
 
 @pytest.mark.parametrize("method", ["dense-cholesky", "sparse-ldl"])
@@ -82,7 +81,7 @@ def _banded(n, half):
     M = np.diag(np.full(n, 2.0 * half + 1.0))
     for k in range(1, half + 1):
         M += np.diag(np.ones(n - k), k) + np.diag(np.ones(n - k), -k)
-    return SparseSym.from_dense(M, definiteness_hint="positive")
+    return SparseSym.from_dense(M)
 
 
 def test_auto_chooses_solver_by_entries_per_row(rng, monkeypatch):
@@ -106,8 +105,7 @@ def test_auto_chooses_solver_by_entries_per_row(rng, monkeypatch):
 def test_indefinite_shift_reported_on_auto_path(rng):
     # pole inside the spectrum [1, 2] of a diagonal operator: sparse path
     A = SparseSym.from_coo(200, np.arange(200), np.arange(200),
-                           np.linspace(1.0, 2.0, 200),
-                           definiteness_hint="positive")
+                           np.linspace(1.0, 2.0, 200))
     assert shifted_factorize(A, Shift(-1.0)).method == "sparse-ldl"
     with pytest.raises(IndefiniteShiftError) as exc:
         shifted_factorize(A, Shift(1.5))
@@ -204,13 +202,6 @@ def test_certified_factor_keeps_no_python_copy():
     assert peak < 3 * m_bytes
 
 
-def test_sign_check_warns():
-    A = SparseSym.from_dense(np.diag([1.0, 2.0]), definiteness_hint="positive")
-    seq = ShiftSequence([3.0])      # same sign as spectrum
-    with pytest.warns(UserWarning):
-        seq.check_sign_against(A)
-
-
 def test_default_shifts_sign_and_span(rng):
     A, Ad = rand_sym(rng, 30, 1.0, 10.0)
     seq = default_shifts(A, 20)
@@ -220,7 +211,8 @@ def test_default_shifts_sign_and_span(rng):
     neg, _ = rand_sym(rng, 30, -10.0, -1.0)
     seq2 = default_shifts(neg, 5)
     assert np.all(seq2.values() > 0)
-    # without a hint, opposite to the dominant eigenvalue's sign
+    # indefinite: opposite to the dominant eigenvalue's sign, which the
+    # power iterate's Rayleigh quotient takes on
     for lam, sign in (((-10.0, 2.0), 1.0), ((-2.0, 10.0), -1.0)):
         U = SparseSym.from_dense(np.diag(np.linspace(*lam, 30)))
         assert np.all(np.sign(default_shifts(U, 9).values()) == sign)

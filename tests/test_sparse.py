@@ -45,11 +45,6 @@ def test_asymmetric_pattern_rejected():
         SparseSym(2, [0, 2, 3], [0, 1, 1], [1.0, 5.0, 1.0])
 
 
-def test_bad_hint_rejected():
-    with pytest.raises(ValueError):
-        SparseSym.from_dense(np.eye(2), definiteness_hint="spd")
-
-
 def test_from_coo_sums_duplicates():
     A = SparseSym.from_coo(2, [0, 0, 1], [1, 1, 0], [1.0, 2.0, 3.0])
     assert A.to_dense()[0, 1] == 3.0
