@@ -280,7 +280,8 @@ def run(A: SparseSym, v, shifts, m, side_matrix=None, retain_basis=False,
         Keep all basis vectors (diagnostics mode only; defeats the point
         of the short recurrence).
     solver_cache : FactorizationCache, optional
-        Shared factorizations.
+        Shared factorizations, all kept resident.  Without one the run
+        keeps at most ``shifts.RESIDENT_FACTORS`` (see ``_drive``).
     """
     return _finalize(*_drive(
         A, shifts, m,
@@ -297,9 +298,13 @@ def _drive(A: SparseSym, shifts, m, start, step, callback=None,
 
     Checks the poles and m, then builds the process with ``start()`` and
     calls ``step(process, xi, factorization)`` once per pole, the
-    factorization coming from ``solver_cache`` (a fresh
-    ``FactorizationCache`` when None).  ``callback(process)`` after a step
-    returning True stops the run as converged.  A step that sets
+    factorization coming from ``solver_cache``.  A passed cache keeps
+    every factor it makes.  When it is None, the driver builds one that
+    knows the poles ``shifts[:m]`` and so keeps at most
+    ``shifts.RESIDENT_FACTORS`` finite-pole factors resident, dropping
+    the one needed farthest ahead; on the paired default schedule its
+    first refactorization comes at step 15.  ``callback(process)`` after
+    a step returning True stops the run as converged.  A step that sets
     ``process.breakdown`` ends the run as a lucky breakdown, after one
     last callback whose return is ignored.
 
@@ -312,7 +317,7 @@ def _drive(A: SparseSym, shifts, m, start, step, callback=None,
     if m < 1:
         raise ValueError("m must be >= 1")
     if solver_cache is None:
-        solver_cache = FactorizationCache(A)
+        solver_cache = FactorizationCache(A, shifts[:m])
 
     t0 = time.perf_counter()
     process = start()

@@ -250,23 +250,58 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
                                 apply_op=apply_op)
 
 
+#: finite-pole factors a ``FactorizationCache`` built with a schedule keeps
+#: resident.  The paired default schedule repeats every 12 steps; with two
+#: factors the schedule rule keeps xi_1 through the first period, so step
+#: 13 reuses it and the first refactorization comes at step 15 (xi_3).
+#: With one, xi_1 is factored again at step 13.
+RESIDENT_FACTORS = 2
+
+
 class FactorizationCache:
     """Cache of shifted factorizations keyed by pole value.
 
     Pole sequences are commonly short lists applied cyclically, and the
     default schedule uses each pole for two consecutive steps, so reusing
     the factorization of a repeated pole removes most of the solve setup
-    cost of a run.  Every factor stays resident for the cache's lifetime.
+    cost of a run.
+
+    Without a ``schedule`` every factor stays resident for the cache's
+    lifetime, so callers that share one cache across runs reuse all of
+    them.  With one, ``get`` must be called once per pole of the schedule,
+    in order, and at most RESIDENT_FACTORS finite-pole factors stay
+    resident: a miss with the cache full first drops the factor whose
+    next use in the schedule is farthest away (Belady's rule, optimal for
+    a known sequence), then factors the new pole.  Infinite poles cost
+    nothing to keep and never count or get dropped.  A factor that failed
+    the dominance certificate carries SciPy's copies of L and U, so the
+    bound covers those too.  Refactoring gives the same factor, so the
+    schedule changes memory and factorization count, never a result.
     """
 
-    def __init__(self, A: SparseSym):
+    def __init__(self, A: SparseSym, schedule=None):
         self.A = A
         self._cache = {}
+        self._schedule = None if schedule is None else [xi.value for xi in schedule]
+        self._step = 0
 
     def get(self, xi: Shift) -> ShiftedFactorization:
         key = xi.value
         fact = self._cache.get(key)
         if fact is None:
+            if self._schedule is not None and not xi.is_infinite:
+                self._make_room()
             fact = shifted_factorize(self.A, xi)
             self._cache[key] = fact
+        self._step += 1
         return fact
+
+    def _make_room(self):
+        """Drop a finite factor if RESIDENT_FACTORS are resident."""
+        finite = [k for k in self._cache if not math.isinf(k)]
+        if len(finite) < RESIDENT_FACTORS:
+            return
+        later = self._schedule[self._step + 1:]
+        victim = max(finite, key=lambda k: later.index(k) if k in later
+                     else len(later))
+        del self._cache[victim]

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: random instances with prescribed
 spectra, valid pole draws and independent reference computations."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -151,6 +153,52 @@ def factor_reads(monkeypatch):
     reads = FactorReads()
     monkeypatch.setattr(shifts_mod, "spla", reads)
     return reads
+
+
+class Factorizations(list):
+    """(pole value, weak reference to the factor) of every call of
+    ``shifts.shifted_factorize``, in call order."""
+
+    def alive(self):
+        """Poles whose factor is still referenced somewhere."""
+        return [xi for xi, ref in self if ref() is not None]
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """A ``Factorizations`` record filled by a wrapper around
+    ``shifts.shifted_factorize``, which the cache looks up at call time."""
+    made = Factorizations()
+    factorize = shifts_mod.shifted_factorize
+
+    def recording(A, xi):
+        F = factorize(A, xi)
+        made.append((xi.value, weakref.ref(F)))
+        return F
+
+    monkeypatch.setattr(shifts_mod, "shifted_factorize", recording)
+    return made
+
+
+def belady_count(poles, k, steps=None):
+    """Factorizations over the first ``steps`` poles (all by default) of a
+    cache that keeps at most k finite poles and, when full, drops the one
+    whose next use in ``poles`` is farthest ahead.  Infinite poles are
+    factored once and kept."""
+    poles = [float(x) for x in poles]
+    resident, count = set(), 0
+    for i in range(len(poles) if steps is None else steps):
+        x = poles[i]
+        if x in resident:
+            continue
+        count += 1
+        finite = [y for y in resident if np.isfinite(y)]
+        if np.isfinite(x) and len(finite) == k:
+            rest = poles[i + 1:]
+            resident.remove(max(finite, key=lambda y: rest.index(y) if y in rest
+                                else len(rest)))
+        resident.add(x)
+    return count
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import ratlanczos.shifts as shifts_mod
 from ratlanczos import (LtiSystem, ParametricIO, ReducedController,
                         ShiftSequence, SparseSym, StabilityError, block_run,
                         eval_control, h2_norm, h2_norm_arnoldi, h2_param_norm,
@@ -10,7 +11,7 @@ from ratlanczos import (LtiSystem, ParametricIO, ReducedController,
 from ratlanczos.cli import lqr_system
 from ratlanczos.control import warn_if_unstable
 
-from conftest import rand_shifts, rand_sym
+from conftest import belady_count, rand_shifts, rand_sym
 
 
 def _rand_stable_system(rng, n=30, p=1, q=1, lam_lo=-10.0, lam_hi=-0.5):
@@ -281,6 +282,33 @@ def test_lqr_random_stabilizing_and_agreement(rng):
         uL = eval_control(res.controller, t)
         uA = eval_control(ares.controller, t)
         assert np.linalg.norm(uL - uA) <= 1e-6 * max(np.linalg.norm(uA), 1e-30)
+
+
+def test_lqr_bounded_factor_cache_is_bit_identical(rng, monkeypatch,
+                                                   factorizations):
+    # three poles cycled: with two resident factors the driver factors
+    # evicted poles again, and the result equals, bit for bit, that of a
+    # run that keeps every factor
+    n = 40
+    A, _ = rand_sym(rng, n, -8.0, -0.5)
+    sys_ = LtiSystem(A=A, B=rng.standard_normal((n, 1)),
+                     C=rng.standard_normal((1, n)), R=np.array([[2.0]]),
+                     x0=rng.standard_normal(n))
+    sh = ShiftSequence.cycled([0.7, 3.0, 7.5], 35)
+    res = lqr_reduce(sys_, sh, tol=1e-9, s=2, max_m=35)
+    bounded = [xi for xi, _ in factorizations]
+    factorizations.clear()
+    monkeypatch.setattr(shifts_mod, "RESIDENT_FACTORS", 4)
+    full = lqr_reduce(sys_, sh, tol=1e-9, s=2, max_m=35)
+    assert res.iterations == full.iterations
+    assert np.array_equal(res.metric_history, full.metric_history,
+                          equal_nan=True)
+    assert np.array_equal(res.controller.Y, full.controller.Y)
+    # the stability screen's identity factor, then the poles: Belady's
+    # count over the steps taken against one factorization per pole
+    assert [xi for xi, _ in factorizations] == [np.inf, 0.7, 3.0, 7.5]
+    assert bounded[0] == np.inf
+    assert len(bounded) - 1 == belady_count(sh.values(), 2, res.iterations) > 3
 
 
 def test_lqr_twin_agrees_relative_to_control_scale():

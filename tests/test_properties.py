@@ -1,7 +1,8 @@
 """Randomized invariants (hypothesis, derandomized): the short
 recurrences on pole lists that mix infinite, repeated and distinct finite
-poles, the positive definiteness decision of ``shifted_factorize``, and
-the sign of the default poles."""
+poles, the positive definiteness decision of ``shifted_factorize``, the
+sign of the default poles, and bit-identical results from the driver's
+bounded factor cache."""
 
 from unittest import mock
 
@@ -12,11 +13,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, event, given, settings, strategies as st  # noqa: E402
 
 import ratlanczos.shifts as shifts_mod  # noqa: E402
-from ratlanczos import (IndefiniteShiftError, RatLanczosError, Shift,  # noqa: E402
-                        SparseSym, block_run, default_shifts, run,
-                        shifted_factorize)
+from ratlanczos import (FactorizationCache, IndefiniteShiftError,  # noqa: E402
+                        RatLanczosError, Shift, SparseSym, arnoldi_run,
+                        block_run, default_shifts, run, shifted_factorize)
 
-from conftest import FactorReads  # noqa: E402
+from conftest import FactorReads, belady_count  # noqa: E402
 
 
 @st.composite
@@ -157,3 +158,83 @@ def test_default_poles_oppose_a_definite_spectrum(n, sign, log_cond, log_scale,
     assert np.all(np.sign(seq.values()) == -sign)
     for xi in set(seq):
         shifted_factorize(A, xi)
+
+
+@st.composite
+def cycled_schedules(draw):
+    """(n, p, log10 spectrum ends, poles, sparse, seed).  The poles cycle
+    a period of more than RESIDENT_FACTORS distinct finite poles, log-spaced
+    in a drawn order, each used once or twice in a row and mixed with
+    infinite ones, for at least two periods, so the driver's bounded
+    cache must factor some pole again.  n leaves room for more than one
+    period of steps, and p need not divide it; ``sparse`` sends the
+    factorizations to SuperLU instead of dense Cholesky."""
+    p = draw(st.sampled_from([1, 2, 3]))
+    lo = draw(st.floats(-2.0, 0.0))
+    hi = draw(st.floats(0.0, 2.0))
+    k = shifts_mod.RESIDENT_FACTORS
+    mags = np.linspace(lo - 1.0, hi + 1.0, draw(st.integers(k + 1, k + 3)))
+    period = []
+    for mag in draw(st.permutations(mags)):
+        period += [-10.0 ** mag] * draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            period.append(np.inf)
+    n = draw(st.integers(p * (len(period) + 2), 60))
+    m = len(period) * draw(st.integers(2, 3))
+    poles = [period[i % len(period)] for i in range(m)]
+    return n, p, lo, hi, poles, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _run_or_error(runner, cache):
+    try:
+        return runner(cache)
+    except RatLanczosError as exc:
+        return type(exc)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(cycled_schedules())
+def test_bounded_cache_is_bit_identical(case):
+    # the driver's own cache refactors evicted poles; SuperLU and LAPACK
+    # are deterministic, so J, the start block's factor and the side
+    # projections equal those of a run on a caller's cache bit for bit,
+    # for the scalar, block and Arnoldi runners alike.  Only typed errors
+    # are allowed, and both caches must meet the same one
+    n, p, lo, hi, poles, sparse, seed = case
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** rng.uniform(lo, hi, n)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Ad = (Q * lam) @ Q.T
+    A = SparseSym.from_dense(0.5 * (Ad + Ad.T))
+    V = rng.standard_normal((n, p))
+    U = rng.standard_normal((n, 2))
+    m = len(poles)
+    runners = {
+        "block": lambda c: block_run(A, V, poles, m, side_matrix=U,
+                                     solver_cache=c),
+        "arnoldi": lambda c: arnoldi_run(A, V, poles, m, side_matrix=U,
+                                         solver_cache=c),
+    }
+    if p == 1:
+        runners["scalar"] = lambda c: run(A, V[:, 0], poles, m, side_matrix=U,
+                                          solver_cache=c)
+    cutoff = 0 if sparse else shifts_mod.DENSE_CUTOFF
+    k = shifts_mod.RESIDENT_FACTORS
+    for name, runner in runners.items():
+        with mock.patch.object(shifts_mod, "DENSE_CUTOFF", cutoff):
+            bounded = _run_or_error(runner, None)
+            shared = _run_or_error(runner, FactorizationCache(A))
+        if isinstance(bounded, type):
+            assert bounded is shared, name
+            event(f"{name}: {bounded.__name__}")
+            continue
+        assert bounded.m == shared.m
+        assert np.array_equal(bounded.J, shared.J), name
+        assert np.array_equal(bounded.side_projections, shared.side_projections)
+        if name == "scalar":
+            assert bounded.norm_v == shared.norm_v
+        else:
+            assert np.array_equal(bounded.R0, shared.R0)
+        refactored = (belady_count(poles, k, bounded.m)
+                      > belady_count(poles, m, bounded.m))
+        event(f"{name}: {'refactored' if refactored else 'no refactor'}")

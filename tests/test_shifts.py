@@ -7,11 +7,11 @@ import scipy.sparse as sp
 import ratlanczos.shifts as shifts_mod
 from ratlanczos import (INFINITY, FactorizationCache, IndefiniteShiftError,
                         Shift, ShiftError, ShiftSequence, SparseSym,
-                        default_shifts, shifted_factorize)
+                        default_shifts, run, shifted_factorize)
 from ratlanczos.problems import gen_laplacian2d, gen_strakos
 from ratlanczos.sparse import power_iteration
 
-from conftest import rand_sym
+from conftest import belady_count, rand_sym
 
 
 def test_shift_validation():
@@ -245,3 +245,65 @@ def test_factorization_cache_reuses(rng):
     f2 = cache.get(Shift(-1.0))
     assert f1 is f2
     assert cache.get(Shift(-2.0)) is not f1
+    # a cache built without a schedule keeps every factor, beyond
+    # RESIDENT_FACTORS distinct poles
+    cache.get(Shift(-3.0))
+    assert cache.get(Shift(-1.0)) is f1
+
+
+def _alive_after_each_step(A, v, poles, factorizations, solver_cache=None):
+    """Run the scalar recurrence over ``poles``; the number of finite-pole
+    factors alive after every step, and the poles of all those alive
+    after the last one."""
+    alive = []
+
+    def cb(state):
+        alive.append(factorizations.alive())
+
+    res = run(A, v, poles, len(poles), solver_cache=solver_cache, callback=cb)
+    assert res.m == len(poles)
+    return [int(np.isfinite(xs).sum()) for xs in alive], alive[-1]
+
+
+def test_driver_cache_evicts_by_schedule(factorizations, rng):
+    # a a b b c c a a b b: at step 5 the schedule uses a again before b,
+    # so b goes; at step 9 b is factored again
+    A, _ = rand_sym(rng, 30, 0.5, 2.0)
+    v = rng.standard_normal(30)
+    a, b, c = -1.0, -2.0, -4.0
+    poles = [a, a, b, b, c, c, a, a, b, b]
+    assert shifts_mod.RESIDENT_FACTORS == 2
+    alive, _ = _alive_after_each_step(A, v, poles, factorizations)
+    assert [xi for xi, _ in factorizations] == [a, b, c, b]
+    assert belady_count(poles, 2) == 4
+    assert max(alive) == shifts_mod.RESIDENT_FACTORS
+    # a caller's cache keeps all three factors and makes each once
+    factorizations.clear()
+    cache = FactorizationCache(A)
+    alive, _ = _alive_after_each_step(A, v, poles, factorizations, cache)
+    assert [xi for xi, _ in factorizations] == [a, b, c]
+    assert alive[-1] == 3
+
+
+def test_driver_cache_residency_bound(factorizations, rng):
+    # four poles cycled with period 5: at most two finite factors are
+    # referenced anywhere after every step, and the count is Belady's
+    A, _ = rand_sym(rng, 40, 0.5, 2.0)
+    poles = ShiftSequence.cycled([-0.5, -1.0, -1.0, -2.0, -4.0], 25).values()
+    alive, _ = _alive_after_each_step(A, rng.standard_normal(40), poles,
+                                      factorizations)
+    assert max(alive) <= shifts_mod.RESIDENT_FACTORS
+    assert len(factorizations) == belady_count(poles, 2) > 4
+
+
+def test_infinite_poles_neither_count_nor_evict(factorizations, rng):
+    # two finite poles interleaved with infinite ones fit in the two
+    # resident factors: a, inf and b are each factored once and kept
+    A, _ = rand_sym(rng, 30, 0.5, 2.0)
+    a, b, inf = -1.0, -3.0, np.inf
+    poles = [a, inf, b, inf, a, inf, b, inf, a]
+    alive, last = _alive_after_each_step(A, rng.standard_normal(30), poles,
+                                         factorizations)
+    assert [xi for xi, _ in factorizations] == [a, inf, b]
+    assert alive[2:] == [2] * (len(poles) - 2)
+    assert last == [a, inf, b]
