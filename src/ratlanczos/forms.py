@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .arnoldi import arnoldi_run
 from .block import block_run
@@ -432,6 +431,7 @@ def gp_precision_matrix(points, phi, delta) -> SparseSym:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DimensionError("expected an (n, 2) array of planar points")
     n = pts.shape[0]
+    from scipy.spatial import cKDTree
     pairs = cKDTree(pts).query_pairs(r=delta, output_type="ndarray")
     if pairs.size:
         d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)

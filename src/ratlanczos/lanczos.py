@@ -281,7 +281,7 @@ def run(A: SparseSym, v, shifts, m, side_matrix=None, retain_basis=False,
         of the short recurrence).
     solver_cache : FactorizationCache, optional
         Shared factorizations, all kept resident.  Without one the run
-        keeps at most ``shifts.RESIDENT_FACTORS`` (see ``_drive``).
+        keeps one finite-pole factor at a time (see ``_drive``).
     """
     return _finalize(*_drive(
         A, shifts, m,
@@ -300,13 +300,12 @@ def _drive(A: SparseSym, shifts, m, start, step, callback=None,
     calls ``step(process, xi, factorization)`` once per pole, the
     factorization coming from ``solver_cache``.  A passed cache keeps
     every factor it makes.  When it is None, the driver builds one that
-    knows the poles ``shifts[:m]`` and so keeps at most
-    ``shifts.RESIDENT_FACTORS`` finite-pole factors resident, dropping
-    the one needed farthest ahead; on the paired default schedule its
-    first refactorization comes at step 15.  ``callback(process)`` after
-    a step returning True stops the run as converged.  A step that sets
-    ``process.breakdown`` ends the run as a lucky breakdown, after one
-    last callback whose return is ignored.
+    keeps a single finite-pole factor resident and drops it on the next
+    finite-pole miss; on the paired default schedule, which repeats every
+    12 steps, the first refactorization comes at step 13.
+    ``callback(process)`` after a step returning True stops the run as
+    converged.  A step that sets ``process.breakdown`` ends the run as a
+    lucky breakdown, after one last callback whose return is ignored.
 
     Returns (process, termination, elapsed seconds).
     """
@@ -317,7 +316,7 @@ def _drive(A: SparseSym, shifts, m, start, step, callback=None,
     if m < 1:
         raise ValueError("m must be >= 1")
     if solver_cache is None:
-        solver_cache = FactorizationCache(A, shifts[:m])
+        solver_cache = FactorizationCache(A, keep_one=True)
 
     t0 = time.perf_counter()
     process = start()

@@ -182,6 +182,43 @@ def _dominance_certificate(M) -> bool:
     return bool(np.all(d > 0.0) and np.all(d - off > tol * (d + off)))
 
 
+def _fill_order(M):
+    """(ip, perm_c) of the minimum-degree ordering of A^T + A that SuperLU
+    takes for the CSC matrix M in symmetric mode: ``ip`` lists the rows
+    and columns of M in elimination order, ``perm_c = argsort(ip)``.
+    The ordering depends on the pattern only, so an incomplete factor
+    that drops every entry it may (about a third of a full factor's time)
+    returns the ``perm_c`` a full ``splu`` would take.
+    """
+    perm_c = spla.spilu(M, permc_spec="MMD_AT_PLUS_A", drop_tol=1.0,
+                        fill_factor=1, diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True}).perm_c
+    # perm_c views the factor's memory: copy it, so the factor is freed
+    return np.argsort(perm_c), perm_c.astype(np.intp)
+
+
+#: index entries ``_permuted`` relabels per gather
+_RELABEL_CHUNK = 1 << 12
+
+
+def _permuted(D, ip, perm_c):
+    """D[ip][:, ip] of the symmetric CSR matrix D, as a CSC matrix.
+
+    Selects the rows, relabels the column indices in place and sorts
+    them, so only one copy of D is made; D being symmetric, so is the
+    result, whose CSR arrays are then its CSC arrays.
+    """
+    P = D[ip]
+    idx = P.indices
+    # in chunks: a gather makes an intp copy of its index array and an
+    # intp result, which for the whole of idx would take 4x its bytes
+    for s in range(0, idx.size, _RELABEL_CHUNK):
+        idx[s:s + _RELABEL_CHUNK] = perm_c[idx[s:s + _RELABEL_CHUNK]]
+    P.has_sorted_indices = False
+    P.sort_indices()
+    return sp.csc_matrix((P.data, P.indices, P.indptr), shape=P.shape)
+
+
 def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
     """Factor I - A/xi once for repeated multi right-hand-side solves.
 
@@ -194,20 +231,26 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
       n <= DENSE_CUTOFF and A stores more than DENSE_ROW_NNZ entries per
       row on average;
     - ``sparse-ldl`` otherwise: SuperLU in symmetric mode (diagonal
-      pivots, no pivoting threshold) after a minimum-degree ordering of
-      A^T + A.  It is an LU factorization, not an LDL^T.  Positive
-      definiteness is proved from I - A/xi itself (symmetric, because A
-      is) when it is strictly diagonally dominant with a positive
-      diagonal, with a rounding allowance on the row sums (Gershgorin);
-      diagonal pivots of an SPD matrix are positive.  Otherwise it is
-      read off the signs of U's diagonal, which makes SciPy keep CSC
-      copies of L and U on the factor for its lifetime (about as much
-      memory again as the factor).
+      pivots, no pivoting threshold) of the symmetrically permuted
+      matrix (I - A/xi)[ip][:, ip], with ``NATURAL`` column order.  The
+      minimum-degree ordering ``ip`` of A^T + A is computed once, on the
+      first sparse factorization of A, and kept on ``A.fill_order``:
+      every pole gives the same pattern.  Each solve permutes its
+      right-hand sides and un-permutes the solution.  The same pipeline
+      factors a pole again bit for bit.  It is an LU factorization, not
+      an LDL^T.  Positive definiteness is proved from I - A/xi itself
+      (symmetric, because A is) when it is strictly diagonally dominant
+      with a positive diagonal, with a rounding allowance on the row
+      sums (Gershgorin); diagonal pivots of an SPD matrix are positive.
+      Otherwise it is read off the signs of U's diagonal, which makes
+      SciPy keep CSC copies of L and U on the factor for its lifetime
+      (about as much memory again as the factor).
 
     Raises
     ------
     IndefiniteShiftError
-        If the factorization detects a nonpositive pivot.
+        If the ordering or the factorization meets a zero pivot, or a
+        pivot is nonpositive.
     """
     n = A.n
     if xi.is_infinite:
@@ -229,10 +272,16 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
             lambda B: sla.cho_solve((c, low), B, check_finite=False),
             apply_op=apply_op)
 
-    M = (sp.identity(n, format="csr") - inv * A.to_scipy()).tocsc()
+    D = sp.identity(n, format="csr") - inv * A.to_scipy()
     try:
-        lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0,
+        if A.fill_order is None:
+            # D is symmetric, so its CSR arrays are its CSC arrays
+            A.fill_order = _fill_order(
+                sp.csc_matrix((D.data, D.indices, D.indptr), shape=D.shape))
+        ip, perm_c = A.fill_order
+        M = _permuted(D, ip, perm_c)
+        del D
+        lu = spla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise IndefiniteShiftError(
@@ -246,16 +295,23 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
             raise IndefiniteShiftError(
                 f"I - A/xi with xi = {xi.value:g} is not positive definite "
                 f"(pivot {dU.min():.3e})", shift=xi)
-    return ShiftedFactorization(xi, "sparse-ldl", n, lu.solve,
-                                apply_op=apply_op)
+    if np.array_equal(ip, np.arange(n)):
+        # the order is the natural one (A diagonal, say): permuting the
+        # right-hand sides would cost more than a small solve
+        solve = lu.solve
+    else:
+        def solve(B):
+            return _take_rows(lu.solve(_take_rows(B, ip)), perm_c)
+    return ShiftedFactorization(xi, "sparse-ldl", n, solve, apply_op=apply_op)
 
 
-#: finite-pole factors a ``FactorizationCache`` built with a schedule keeps
-#: resident.  The paired default schedule repeats every 12 steps; with two
-#: factors the schedule rule keeps xi_1 through the first period, so step
-#: 13 reuses it and the first refactorization comes at step 15 (xi_3).
-#: With one, xi_1 is factored again at step 13.
-RESIDENT_FACTORS = 2
+def _take_rows(X, idx):
+    """X[idx] for an (n, k) array, gathered along its memory order: row
+    gathers of a column-major array (as SuperLU returns) took 3-8x as
+    long at n = 40000 and k = 2-4."""
+    if X.flags.f_contiguous:
+        return np.take(X.T, idx, axis=1).T
+    return np.take(X, idx, axis=0)
 
 
 class FactorizationCache:
@@ -266,42 +322,29 @@ class FactorizationCache:
     the factorization of a repeated pole removes most of the solve setup
     cost of a run.
 
-    Without a ``schedule`` every factor stays resident for the cache's
-    lifetime, so callers that share one cache across runs reuse all of
-    them.  With one, ``get`` must be called once per pole of the schedule,
-    in order, and at most RESIDENT_FACTORS finite-pole factors stay
-    resident: a miss with the cache full first drops the factor whose
-    next use in the schedule is farthest away (Belady's rule, optimal for
-    a known sequence), then factors the new pole.  Infinite poles cost
-    nothing to keep and never count or get dropped.  A factor that failed
-    the dominance certificate carries SciPy's copies of L and U, so the
-    bound covers those too.  Refactoring gives the same factor, so the
-    schedule changes memory and factorization count, never a result.
+    By default every factor stays resident for the cache's lifetime, so
+    callers that share one cache across runs reuse all of them.  With
+    ``keep_one`` a finite-pole miss first drops the resident finite-pole
+    factor, then factors the new pole, so at most one stays resident.
+    Infinite poles cost nothing to keep and are never dropped.  A factor
+    that failed the dominance certificate carries SciPy's copies of L and
+    U, so the bound covers those too.  Refactoring gives the same factor,
+    so ``keep_one`` changes memory and factorization count, never a
+    result.
     """
 
-    def __init__(self, A: SparseSym, schedule=None):
+    def __init__(self, A: SparseSym, keep_one=False):
         self.A = A
         self._cache = {}
-        self._schedule = None if schedule is None else [xi.value for xi in schedule]
-        self._step = 0
+        self._keep_one = keep_one
 
     def get(self, xi: Shift) -> ShiftedFactorization:
         key = xi.value
         fact = self._cache.get(key)
         if fact is None:
-            if self._schedule is not None and not xi.is_infinite:
-                self._make_room()
+            if self._keep_one and not xi.is_infinite:
+                self._cache = {k: f for k, f in self._cache.items()
+                               if math.isinf(k)}
             fact = shifted_factorize(self.A, xi)
             self._cache[key] = fact
-        self._step += 1
         return fact
-
-    def _make_room(self):
-        """Drop a finite factor if RESIDENT_FACTORS are resident."""
-        finite = [k for k in self._cache if not math.isinf(k)]
-        if len(finite) < RESIDENT_FACTORS:
-            return
-        later = self._schedule[self._step + 1:]
-        victim = max(finite, key=lambda k: later.index(k) if k in later
-                     else len(later))
-        del self._cache[victim]

@@ -20,6 +20,15 @@ class SparseSym:
         Dimension.
     row_ptr, col_idx, values : array_like
         CSR arrays.
+
+    Attributes
+    ----------
+    fill_order : (ip, perm_c) or None
+        The fill-reducing ordering that every sparse shifted factorization
+        of I - A/xi shares, since all poles give the same pattern: the
+        matrix is factored as (I - A/xi)[ip][:, ip], with
+        ``perm_c = argsort(ip)``.  ``shifts.shifted_factorize`` fills it
+        on the first one.
     """
 
     def __init__(self, n, row_ptr, col_idx, values):
@@ -33,6 +42,7 @@ class SparseSym:
         mat.sort_indices()
         _check_symmetric(mat)
         self._mat = mat
+        self.fill_order = None
 
     @classmethod
     def _from_scipy(cls, mat):

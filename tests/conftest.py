@@ -127,13 +127,20 @@ class FactorReads:
     """Stands in for the ``scipy.sparse.linalg`` module that
     ``ratlanczos.shifts`` calls.  Its ``splu`` factors as SciPy does and
     counts in ``count`` the reads of the factor's ``L`` and ``U``, which
-    make SciPy build CSC copies of both and keep them on the factor."""
+    make SciPy build CSC copies of both and keep them on the factor;
+    ``factors`` holds every factor it made.  ``spilu``, which computes
+    the fill ordering, is SciPy's."""
+
+    spilu = staticmethod(spla.spilu)
 
     def __init__(self):
         self.count = 0
+        self.factors = []
 
     def splu(self, *args, **kwargs):
-        return _ReadCountingLU(self, spla.splu(*args, **kwargs))
+        lu = _ReadCountingLU(self, spla.splu(*args, **kwargs))
+        self.factors.append(lu)
+        return lu
 
 
 class _ReadCountingLU:

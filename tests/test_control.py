@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import ratlanczos.lanczos as lanczos_mod
 import ratlanczos.shifts as shifts_mod
 from ratlanczos import (LtiSystem, ParametricIO, ReducedController,
                         ShiftSequence, SparseSym, StabilityError, block_run,
@@ -286,9 +287,9 @@ def test_lqr_random_stabilizing_and_agreement(rng):
 
 def test_lqr_bounded_factor_cache_is_bit_identical(rng, monkeypatch,
                                                    factorizations):
-    # three poles cycled: with two resident factors the driver factors
-    # evicted poles again, and the result equals, bit for bit, that of a
-    # run that keeps every factor
+    # three poles cycled: with one resident factor the driver factors
+    # every step's pole again, and the result equals, bit for bit, that
+    # of a run that keeps every factor
     n = 40
     A, _ = rand_sym(rng, n, -8.0, -0.5)
     sys_ = LtiSystem(A=A, B=rng.standard_normal((n, 1)),
@@ -298,17 +299,19 @@ def test_lqr_bounded_factor_cache_is_bit_identical(rng, monkeypatch,
     res = lqr_reduce(sys_, sh, tol=1e-9, s=2, max_m=35)
     bounded = [xi for xi, _ in factorizations]
     factorizations.clear()
-    monkeypatch.setattr(shifts_mod, "RESIDENT_FACTORS", 4)
+    monkeypatch.setattr(lanczos_mod, "FactorizationCache",
+                        lambda A, keep_one: shifts_mod.FactorizationCache(A))
     full = lqr_reduce(sys_, sh, tol=1e-9, s=2, max_m=35)
     assert res.iterations == full.iterations
     assert np.array_equal(res.metric_history, full.metric_history,
                           equal_nan=True)
     assert np.array_equal(res.controller.Y, full.controller.Y)
     # the stability screen's identity factor, then the poles: Belady's
-    # count over the steps taken against one factorization per pole
+    # count with one slot over the steps taken against one factorization
+    # per pole
     assert [xi for xi, _ in factorizations] == [np.inf, 0.7, 3.0, 7.5]
     assert bounded[0] == np.inf
-    assert len(bounded) - 1 == belady_count(sh.values(), 2, res.iterations) > 3
+    assert len(bounded) - 1 == belady_count(sh.values(), 1, res.iterations) > 3
 
 
 def test_lqr_twin_agrees_relative_to_control_scale():

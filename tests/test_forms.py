@@ -369,6 +369,25 @@ def test_gp_density_scale():
     assert lam_min >= 1.0 - 1e-10
 
 
+def test_import_leaves_kd_tree_unloaded():
+    # only gp_precision_matrix needs scipy.spatial, which costs about
+    # 100 ms and 7.5 MB to import, so it loads it when called
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ratlanczos
+    src = str(Path(ratlanczos.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, ratlanczos; "
+            "print('scipy.spatial' in sys.modules, 'scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["False", "True"]
+
+
 def test_gp_validation():
     with pytest.raises(ValueError):
         gp_precision_matrix(np.zeros((3, 2)), phi=-1.0, delta=0.1)

@@ -163,7 +163,7 @@ def test_default_poles_oppose_a_definite_spectrum(n, sign, log_cond, log_scale,
 @st.composite
 def cycled_schedules(draw):
     """(n, p, log10 spectrum ends, poles, sparse, seed).  The poles cycle
-    a period of more than RESIDENT_FACTORS distinct finite poles, log-spaced
+    a period of at least two distinct finite poles, log-spaced
     in a drawn order, each used once or twice in a row and mixed with
     infinite ones, for at least two periods, so the driver's bounded
     cache must factor some pole again.  n leaves room for more than one
@@ -172,8 +172,7 @@ def cycled_schedules(draw):
     p = draw(st.sampled_from([1, 2, 3]))
     lo = draw(st.floats(-2.0, 0.0))
     hi = draw(st.floats(0.0, 2.0))
-    k = shifts_mod.RESIDENT_FACTORS
-    mags = np.linspace(lo - 1.0, hi + 1.0, draw(st.integers(k + 1, k + 3)))
+    mags = np.linspace(lo - 1.0, hi + 1.0, draw(st.integers(2, 5)))
     period = []
     for mag in draw(st.permutations(mags)):
         period += [-10.0 ** mag] * draw(st.integers(1, 2))
@@ -219,7 +218,6 @@ def test_bounded_cache_is_bit_identical(case):
         runners["scalar"] = lambda c: run(A, V[:, 0], poles, m, side_matrix=U,
                                           solver_cache=c)
     cutoff = 0 if sparse else shifts_mod.DENSE_CUTOFF
-    k = shifts_mod.RESIDENT_FACTORS
     for name, runner in runners.items():
         with mock.patch.object(shifts_mod, "DENSE_CUTOFF", cutoff):
             bounded = _run_or_error(runner, None)
@@ -235,6 +233,6 @@ def test_bounded_cache_is_bit_identical(case):
             assert bounded.norm_v == shared.norm_v
         else:
             assert np.array_equal(bounded.R0, shared.R0)
-        refactored = (belady_count(poles, k, bounded.m)
+        refactored = (belady_count(poles, 1, bounded.m)
                       > belady_count(poles, m, bounded.m))
         event(f"{name}: {'refactored' if refactored else 'no refactor'}")

@@ -3,12 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import ratlanczos.shifts as shifts_mod
 from ratlanczos import (INFINITY, FactorizationCache, IndefiniteShiftError,
                         Shift, ShiftError, ShiftSequence, SparseSym,
-                        default_shifts, run, shifted_factorize)
-from ratlanczos.problems import gen_laplacian2d, gen_strakos
+                        default_shifts, gp_precision_matrix, run,
+                        shifted_factorize)
+from ratlanczos.problems import gen_laplacian2d, gen_strakos, gp_points
 from ratlanczos.sparse import power_iteration
 
 from conftest import belady_count, rand_sym
@@ -202,6 +204,82 @@ def test_certified_factor_keeps_no_python_copy():
     assert peak < 3 * m_bytes
 
 
+def _minimum_degree_factor(A, xi):
+    """SuperLU's factor of I - A/xi with its own minimum-degree ordering,
+    as every sparse factorization was made before the ordering was
+    shared."""
+    M = sp.identity(A.n, format="csc") - A.to_scipy().tocsc() / xi.value
+    return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
+def _laplacian_and_poles():
+    A = gen_laplacian2d(30)
+    return A, list(dict.fromkeys(default_shifts(A, 6)))
+
+
+def _gp_and_poles():
+    A = gp_precision_matrix(gp_points(1500, 3), phi=20.0, delta=0.03)
+    return A, list(dict.fromkeys(default_shifts(A, 6)))
+
+
+def _signed_graph_and_poles():
+    A = _signed_random_graph(200, 0)
+    lam_max = np.linalg.eigvalsh(A.to_dense())[-1]
+    return A, [Shift(1.25 * lam_max), Shift(2.5 * lam_max), Shift(10.0 * lam_max)]
+
+
+@pytest.mark.parametrize("make", [_laplacian_and_poles, _gp_and_poles,
+                                  _signed_graph_and_poles],
+                         ids=["laplacian", "gp", "signed-graph"])
+def test_shared_ordering_is_minimum_degree(make, factor_reads, rng):
+    # the ordering computed on the first pole is the one SuperLU takes for
+    # every pole's I - A/xi, and factoring the permuted matrix in its
+    # natural order makes the same fill
+    A, poles = make()
+    assert A.fill_order is None
+    b = rng.standard_normal(A.n)
+    for xi in poles:
+        F = shifted_factorize(A, xi)
+        assert F.method == "sparse-ldl"
+        ip, perm_c = A.fill_order
+        ref = _minimum_degree_factor(A, xi)
+        assert np.array_equal(perm_c, ref.perm_c)
+        assert np.array_equal(ip, np.argsort(ref.perm_c))
+        lu = factor_reads.factors[-1]
+        assert lu.L.nnz + lu.U.nnz == ref.L.nnz + ref.U.nnz
+        x = F.solve(b)
+        assert np.abs(x - ref.solve(b)).max() <= 1e-13 * np.abs(x).max()
+
+
+def test_refactored_pole_solves_bit_for_bit(rng):
+    # the first factor of xi is made right after the ordering, the second
+    # after another pole's factor; both solve alike, bit for bit
+    A = gen_laplacian2d(30)
+    xi, other = list(dict.fromkeys(default_shifts(A, 4)))
+    B = rng.standard_normal((A.n, 3))
+    X = shifted_factorize(A, xi).solve(B)
+    shifted_factorize(A, other)
+    assert np.array_equal(shifted_factorize(A, xi).solve(B), X)
+    assert np.array_equal(shifted_factorize(A, xi).solve(B[:, 1]), X[:, 1])
+
+
+def test_scaled_operator_orders_itself(rng):
+    # diag(d) A diag(d) is a new operator: it keeps none of A's state and
+    # computes its own ordering on its first sparse factorization
+    A = gen_laplacian2d(20)
+    xi = default_shifts(A, 1)[0]
+    shifted_factorize(A, xi)
+    S = A.scaled_rows_cols(rng.uniform(0.5, 2.0, A.n))
+    assert S.fill_order is None
+    F = shifted_factorize(S, xi)
+    assert S.fill_order is not A.fill_order
+    assert np.array_equal(S.fill_order[1], _minimum_degree_factor(S, xi).perm_c)
+    b = rng.standard_normal(A.n)
+    M = np.eye(A.n) - S.to_dense() / xi.value
+    assert np.linalg.norm(M @ F.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_default_shifts_sign_and_span(rng):
     A, Ad = rand_sym(rng, 30, 1.0, 10.0)
     seq = default_shifts(A, 20)
@@ -245,8 +323,7 @@ def test_factorization_cache_reuses(rng):
     f2 = cache.get(Shift(-1.0))
     assert f1 is f2
     assert cache.get(Shift(-2.0)) is not f1
-    # a cache built without a schedule keeps every factor, beyond
-    # RESIDENT_FACTORS distinct poles
+    # a cache built without keep_one keeps every factor
     cache.get(Shift(-3.0))
     assert cache.get(Shift(-1.0)) is f1
 
@@ -266,17 +343,16 @@ def _alive_after_each_step(A, v, poles, factorizations, solver_cache=None):
 
 
 def test_driver_cache_evicts_by_schedule(factorizations, rng):
-    # a a b b c c a a b b: at step 5 the schedule uses a again before b,
-    # so b goes; at step 9 b is factored again
+    # a a b b c c a a b b: the driver's cache keeps one finite factor, so
+    # every change of pole factors again, and a repeat is a hit
     A, _ = rand_sym(rng, 30, 0.5, 2.0)
     v = rng.standard_normal(30)
     a, b, c = -1.0, -2.0, -4.0
     poles = [a, a, b, b, c, c, a, a, b, b]
-    assert shifts_mod.RESIDENT_FACTORS == 2
     alive, _ = _alive_after_each_step(A, v, poles, factorizations)
-    assert [xi for xi, _ in factorizations] == [a, b, c, b]
-    assert belady_count(poles, 2) == 4
-    assert max(alive) == shifts_mod.RESIDENT_FACTORS
+    assert [xi for xi, _ in factorizations] == [a, b, c, a, b]
+    assert belady_count(poles, 1) == 5
+    assert max(alive) == 1
     # a caller's cache keeps all three factors and makes each once
     factorizations.clear()
     cache = FactorizationCache(A)
@@ -286,24 +362,27 @@ def test_driver_cache_evicts_by_schedule(factorizations, rng):
 
 
 def test_driver_cache_residency_bound(factorizations, rng):
-    # four poles cycled with period 5: at most two finite factors are
+    # four poles cycled with period 5: at most one finite factor is
     # referenced anywhere after every step, and the count is Belady's
+    # with one slot
     A, _ = rand_sym(rng, 40, 0.5, 2.0)
     poles = ShiftSequence.cycled([-0.5, -1.0, -1.0, -2.0, -4.0], 25).values()
     alive, _ = _alive_after_each_step(A, rng.standard_normal(40), poles,
                                       factorizations)
-    assert max(alive) <= shifts_mod.RESIDENT_FACTORS
-    assert len(factorizations) == belady_count(poles, 2) > 4
+    assert max(alive) == 1
+    assert len(factorizations) == belady_count(poles, 1) == 20
 
 
 def test_infinite_poles_neither_count_nor_evict(factorizations, rng):
-    # two finite poles interleaved with infinite ones fit in the two
-    # resident factors: a, inf and b are each factored once and kept
+    # finite poles interleaved with infinite ones: the infinite pole is
+    # factored once and kept beside the one finite factor, which each
+    # change of finite pole replaces
     A, _ = rand_sym(rng, 30, 0.5, 2.0)
     a, b, inf = -1.0, -3.0, np.inf
     poles = [a, inf, b, inf, a, inf, b, inf, a]
     alive, last = _alive_after_each_step(A, rng.standard_normal(30), poles,
                                          factorizations)
-    assert [xi for xi, _ in factorizations] == [a, inf, b]
-    assert alive[2:] == [2] * (len(poles) - 2)
-    assert last == [a, inf, b]
+    assert [xi for xi, _ in factorizations] == [a, inf, b, a, b, a]
+    assert belady_count(poles, 1) == 6
+    assert alive == [1] * len(poles)
+    assert last == [inf, a]
