@@ -20,9 +20,9 @@ from .dense import (care_newton, expm_general, lyap_sym, matfun_action_e1,
                     matfun_first_cols, qr_thin, sym_eig)
 from .errors import (AlphaBreakdownError, ConvergenceError,
                      DeflationNeededError, DimensionError, DomainError,
-                     IndefiniteShiftError, RankDeficiencyError,
-                     RatLanczosError, ShiftError, SingularKError,
-                     StabilityError, SymmetryError)
+                     IndefiniteShiftError, OperatorMismatchError,
+                     RankDeficiencyError, RatLanczosError, ShiftError,
+                     SingularKError, StabilityError, SymmetryError)
 from .forms import (BilinearResult, BlockFormResult, FormRequest, FormResult,
                     LogDetResult, TraceRequest, TraceResult, bilinear_form,
                     block_quad_form, gp_precision_matrix, hutchinson_trace,

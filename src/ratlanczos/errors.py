@@ -17,6 +17,11 @@ class ShiftError(RatLanczosError, ValueError):
     """Raised for invalid pole values (zero, NaN) or exhausted pole lists."""
 
 
+class OperatorMismatchError(RatLanczosError, ValueError):
+    """Raised when a factorization cache built for one operator is passed
+    with another."""
+
+
 class IndefiniteShiftError(RatLanczosError):
     """Raised when a shifted matrix I - A/xi is not positive definite.
 

@@ -19,9 +19,8 @@ from .block import block_run
 from .dense import matfun_action_e1, matfun_first_cols
 from .errors import DimensionError, RankDeficiencyError
 from .lanczos import EXACT_TERMINATIONS, lag_converged, run
-from .shifts import (FactorizationCache, ShiftSequence, _poles_from_power,
-                     default_shifts)
-from .sparse import SparseSym, power_iteration
+from .shifts import FactorizationCache, ShiftSequence, default_shifts
+from .sparse import SparseSym
 
 STRATEGIES = ("quadratic", "polarization", "oblique", "block2x2")
 STOPPING_RULES = ("iterate-difference", "residual-bound", "both")
@@ -71,13 +70,12 @@ class FormResult:
     lanczos: object = None
 
 
-def _resolve_shifts(A, shifts, m, power=None):
-    """The given poles, or the default ones; ``power`` is
-    ``power_iteration(A)`` when the caller already ran it."""
-    if shifts is not None:
-        return shifts
-    nrm, v = power if power is not None else power_iteration(A)
-    return _poles_from_power(A, m, nrm, v)
+def _query_cache(A, solver_cache):
+    """The caller's shared cache, or the query's own one, which keeps one
+    finite-pole factor resident as the driver's own does."""
+    if solver_cache is not None:
+        return solver_cache
+    return FactorizationCache(A, keep_one=True)
 
 
 def residual_bound(state, f, tau=1.0, norm_A=None):
@@ -114,12 +112,18 @@ def quad_form(A: SparseSym, v, shifts=None, req: FormRequest = None,
     Runs the short recurrence, evaluating ||v||^2 e_1^T f(J_j) e_1 at
     every step, and stops by the request's rule: the relative difference
     of iterates lagged by s, the residual bound, or both.
+
+    ``solver_cache``, a ``FactorizationCache`` of ``A``, shares across
+    queries the shifted factors, the norm estimate of the residual bound
+    and the default poles, so a warm query runs no power iteration and
+    factors no pole.  Without one, the query builds its own cache, which
+    keeps one factor at a time.  The results are the same bit for bit.
     """
     req = req or FormRequest()
-    # one power iteration gives both the norm and the default poles
-    power = power_iteration(A)
-    shifts = _resolve_shifts(A, shifts, req.max_m, power)
-    norm_A = NORM_INFLATION * power[0]
+    cache = _query_cache(A, solver_cache)
+    if shifts is None:
+        shifts = cache.default_shifts(req.max_m)
+    norm_A = NORM_INFLATION * cache.norm_estimate()
     fn = req.f
     history, bounds = [], []
 
@@ -129,7 +133,7 @@ def quad_form(A: SparseSym, v, shifts=None, req: FormRequest = None,
         bounds.append(_bound(state, w, norm_A))
         return _stop(req, history, bounds)
 
-    res = run(A, v, shifts, req.max_m, callback=cb, solver_cache=solver_cache)
+    res = run(A, v, shifts, req.max_m, callback=cb, solver_cache=cache)
     converged = res.termination in EXACT_TERMINATIONS
     return FormResult(value=history[-1], history=np.array(history),
                       residual_bounds=np.array(bounds), iterations=res.m,
@@ -172,8 +176,12 @@ def bilinear_form(A: SparseSym, u, v, shifts=None, req: FormRequest = None,
       block form gives the value.  Favored default for u != v on
       stability grounds.  Parallel u, v make the start block rank
       deficient; fall back to the quadratic form in that case.
+
+    Without a ``solver_cache``, both runs of a polarization share one
+    power iteration through the query's own cache.
     """
     req = req or FormRequest()
+    cache = _query_cache(A, solver_cache)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
@@ -185,7 +193,7 @@ def bilinear_form(A: SparseSym, u, v, shifts=None, req: FormRequest = None,
             raise ValueError(
                 "strategy 'quadratic' needs u = v; use polarization, "
                 "oblique or block2x2 for u != v")
-        r = quad_form(A, v, shifts, req, solver_cache=solver_cache)
+        r = quad_form(A, v, shifts, req, solver_cache=cache)
         return BilinearResult(r.value, strategy, r.iterations, r.history)
 
     if strategy == "polarization":
@@ -196,7 +204,7 @@ def bilinear_form(A: SparseSym, u, v, shifts=None, req: FormRequest = None,
             if np.linalg.norm(w) == 0.0:
                 parts[key] = None
                 return 0.0, 0
-            r = quad_form(A, w, shifts, req, solver_cache=solver_cache)
+            r = quad_form(A, w, shifts, req, solver_cache=cache)
             parts[key] = r
             return r.value, r.iterations
 
@@ -206,9 +214,9 @@ def bilinear_form(A: SparseSym, u, v, shifts=None, req: FormRequest = None,
                               max(it_p, it_m), parts=parts)
 
     if strategy == "oblique":
-        power = power_iteration(A)
-        shifts_r = _resolve_shifts(A, shifts, req.max_m, power)
-        norm_A = NORM_INFLATION * power[0]
+        if shifts is None:
+            shifts = cache.default_shifts(req.max_m)
+        norm_A = NORM_INFLATION * cache.norm_estimate()
         history, bounds = [], []
 
         def cb(state):
@@ -218,15 +226,15 @@ def bilinear_form(A: SparseSym, u, v, shifts=None, req: FormRequest = None,
             bounds.append(_bound(state, w, norm_A))
             return _stop(req, history, bounds)
 
-        res = run(A, v, shifts_r, req.max_m, side_matrix=u, callback=cb,
-                  solver_cache=solver_cache)
+        res = run(A, v, shifts, req.max_m, side_matrix=u, callback=cb,
+                  solver_cache=cache)
         return BilinearResult(history[-1], strategy, res.m,
                               np.array(history))
 
     # block2x2
     try:
         br = block_quad_form(A, np.column_stack([u, v]), shifts, req,
-                             solver_cache=solver_cache)
+                             solver_cache=cache)
     except RankDeficiencyError as exc:
         raise RankDeficiencyError(
             "block2x2 strategy needs linearly independent u and v; "
@@ -267,7 +275,9 @@ def _block_quad_form(A, V, shifts, req, solver_cache, runner):
     if V.ndim == 1:
         V = V.reshape(-1, 1)
     p = V.shape[1]
-    shifts = _resolve_shifts(A, shifts, req.max_m)
+    cache = _query_cache(A, solver_cache)
+    if shifts is None:
+        shifts = cache.default_shifts(req.max_m)
     history = []
 
     def value_from(J, R0):
@@ -278,8 +288,7 @@ def _block_quad_form(A, V, shifts, req, solver_cache, runner):
         history.append(value_from(state.J_view, state.R0))
         return lag_converged(history, req.s, req.tol)
 
-    res = runner(A, V, shifts, req.max_m, callback=cb,
-                 solver_cache=solver_cache)
+    res = runner(A, V, shifts, req.max_m, callback=cb, solver_cache=cache)
     converged = res.termination in EXACT_TERMINATIONS
     return BlockFormResult(value=history[-1], history=history,
                            iterations=res.m, converged=converged,
@@ -461,7 +470,9 @@ def quad_form_arnoldi(A: SparseSym, v, shifts=None, req: FormRequest = None,
     short-recurrence quantity).
     """
     req = req or FormRequest()
-    shifts = _resolve_shifts(A, shifts, req.max_m)
+    cache = _query_cache(A, solver_cache)
+    if shifts is None:
+        shifts = cache.default_shifts(req.max_m)
     v = np.asarray(v, dtype=float)
     nv = float(np.linalg.norm(v))
     history = []
@@ -472,7 +483,7 @@ def quad_form_arnoldi(A: SparseSym, v, shifts=None, req: FormRequest = None,
         return lag_converged(history, req.s, req.tol)
 
     res = arnoldi_run(A, v, shifts, req.max_m, callback=cb,
-                      solver_cache=solver_cache)
+                      solver_cache=cache)
     converged = res.termination in EXACT_TERMINATIONS
     return FormResult(value=history[-1], history=np.array(history),
                       residual_bounds=np.array([]), iterations=res.m,

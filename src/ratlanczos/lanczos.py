@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AlphaBreakdownError, DimensionError, ShiftError, SingularKError
+from .errors import (AlphaBreakdownError, DimensionError,
+                     OperatorMismatchError, ShiftError, SingularKError)
 from .shifts import FactorizationCache, Shift, ShiftSequence, shifted_factorize
 from .sparse import SparseSym
 
@@ -280,8 +281,8 @@ def run(A: SparseSym, v, shifts, m, side_matrix=None, retain_basis=False,
         Keep all basis vectors (diagnostics mode only; defeats the point
         of the short recurrence).
     solver_cache : FactorizationCache, optional
-        Shared factorizations, all kept resident.  Without one the run
-        keeps one finite-pole factor at a time (see ``_drive``).
+        Shared factorizations of ``A``, all kept resident.  Without one
+        the run keeps one finite-pole factor at a time (see ``_drive``).
     """
     return _finalize(*_drive(
         A, shifts, m,
@@ -296,8 +297,10 @@ def _drive(A: SparseSym, shifts, m, start, step, callback=None,
            solver_cache=None):
     """The step loop of ``run``, ``block_run`` and ``arnoldi_run``.
 
-    Checks the poles and m, then builds the process with ``start()`` and
-    calls ``step(process, xi, factorization)`` once per pole, the
+    Checks the poles and m, and that a passed ``solver_cache`` was built
+    for ``A`` itself (``OperatorMismatchError`` otherwise), then builds
+    the process with ``start()`` and calls
+    ``step(process, xi, factorization)`` once per pole, the
     factorization coming from ``solver_cache``.  A passed cache keeps
     every factor it makes.  When it is None, the driver builds one that
     keeps a single finite-pole factor resident and drops it on the next
@@ -317,6 +320,11 @@ def _drive(A: SparseSym, shifts, m, start, step, callback=None,
         raise ValueError("m must be >= 1")
     if solver_cache is None:
         solver_cache = FactorizationCache(A, keep_one=True)
+    elif solver_cache.A is not A:
+        B = solver_cache.A
+        raise OperatorMismatchError(
+            f"solver_cache was built for another operator (n = {B.n}, "
+            f"nnz = {B.nnz}) than the one passed (n = {A.n}, nnz = {A.nnz})")
 
     t0 = time.perf_counter()
     process = start()

@@ -114,18 +114,25 @@ def default_shifts(A: SparseSym, m):
     definite operator that quotient has the sign of the spectrum, so every
     shifted matrix I - A/xi is positive definite (positive poles for a
     stable, negative definite operator); ``shifted_factorize`` proves it
-    or raises ``IndefiniteShiftError``.
+    or raises ``IndefiniteShiftError``.  Each call runs the power
+    iteration again; ``FactorizationCache.default_shifts`` runs it once
+    per cache.
     """
     nrm, v = power_iteration(A)
-    return _poles_from_power(A, m, nrm, v)
+    return _default_poles(nrm, _pole_sign(A, v), m)
 
 
-def _poles_from_power(A: SparseSym, m, nrm, v):
-    """``default_shifts`` from a power iteration the caller already ran:
-    ``nrm, v = power_iteration(A)``."""
+def _pole_sign(A: SparseSym, v):
+    """Sign of the default poles: opposite to the Rayleigh quotient of the
+    power iterate ``v``."""
+    return 1.0 if float(v @ A.matvec(v)) < 0.0 else -1.0
+
+
+def _default_poles(nrm, sign, m):
+    """``default_shifts`` of length ``m`` from the norm estimate ``nrm``
+    and the pole sign."""
     if nrm == 0.0:
         nrm = 1.0
-    sign = 1.0 if float(v @ A.matvec(v)) < 0.0 else -1.0
     mags = np.logspace(math.log10(nrm), math.log10(nrm) - 6, 12)
     return ShiftSequence.cycled([sign * mg for mg in np.repeat(mags[::2], 2)], m)
 
@@ -230,7 +237,12 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
     - ``dense-cholesky``, LAPACK Cholesky of the dense n x n matrix, when
       n <= DENSE_CUTOFF and A stores more than DENSE_ROW_NNZ entries per
       row on average;
-    - ``sparse-ldl`` otherwise: SuperLU in symmetric mode (diagonal
+    - ``sparse-ldl`` otherwise.  When A stores no entry off its diagonal,
+      I - A/xi is its diagonal d and d is the factor: ``d > 0`` proves it
+      positive definite, and a solve is one division into a column-major
+      array, the values SuperLU's solve gives bit for bit, with no
+      ordering, SuperLU factor or dominance certificate.  Any other
+      operator is factored by SuperLU in symmetric mode (diagonal
       pivots, no pivoting threshold) of the symmetrically permuted
       matrix (I - A/xi)[ip][:, ip], with ``NATURAL`` column order.  The
       minimum-degree ordering ``ip`` of A^T + A is computed once, on the
@@ -250,7 +262,7 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
     ------
     IndefiniteShiftError
         If the ordering or the factorization meets a zero pivot, or a
-        pivot is nonpositive.
+        pivot (a diagonal entry, for a diagonal operator) is nonpositive.
     """
     n = A.n
     if xi.is_infinite:
@@ -270,6 +282,18 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
         return ShiftedFactorization(
             xi, "dense-cholesky", n,
             lambda B: sla.cho_solve((c, low), B, check_finite=False),
+            apply_op=apply_op)
+
+    diag = _stored_diagonal(A)
+    if diag is not None:
+        d = 1.0 - inv * diag
+        if not np.all(d > 0.0):
+            raise IndefiniteShiftError(
+                f"I - A/xi with xi = {xi.value:g} is not positive definite "
+                f"(diagonal entry {d.min():.3e})", shift=xi)
+        d = d[:, None]
+        return ShiftedFactorization(
+            xi, "sparse-ldl", n, lambda B: np.divide(B, d, order="F"),
             apply_op=apply_op)
 
     D = sp.identity(n, format="csr") - inv * A.to_scipy()
@@ -295,14 +319,21 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
             raise IndefiniteShiftError(
                 f"I - A/xi with xi = {xi.value:g} is not positive definite "
                 f"(pivot {dU.min():.3e})", shift=xi)
-    if np.array_equal(ip, np.arange(n)):
-        # the order is the natural one (A diagonal, say): permuting the
-        # right-hand sides would cost more than a small solve
-        solve = lu.solve
-    else:
-        def solve(B):
-            return _take_rows(lu.solve(_take_rows(B, ip)), perm_c)
+
+    def solve(B):
+        return _take_rows(lu.solve(_take_rows(B, ip)), perm_c)
     return ShiftedFactorization(xi, "sparse-ldl", n, solve, apply_op=apply_op)
+
+
+def _stored_diagonal(A: SparseSym):
+    """The diagonal of A if A stores no entry off it, else None.  Costs
+    O(1) when A stores more than n entries, O(n) otherwise."""
+    if A.nnz > A.n:
+        return None
+    rows = np.repeat(np.arange(A.n), np.diff(A.row_ptr))
+    if not np.array_equal(rows, A.col_idx):
+        return None
+    return A.to_scipy().diagonal()
 
 
 def _take_rows(X, idx):
@@ -315,7 +346,8 @@ def _take_rows(X, idx):
 
 
 class FactorizationCache:
-    """Cache of shifted factorizations keyed by pole value.
+    """Cache of shifted factorizations keyed by pole value, and of the
+    operator's power iterate.
 
     Pole sequences are commonly short lists applied cyclically, and the
     default schedule uses each pole for two consecutive steps, so reusing
@@ -331,12 +363,22 @@ class FactorizationCache:
     U, so the bound covers those too.  Refactoring gives the same factor,
     so ``keep_one`` changes memory and factorization count, never a
     result.
+
+    A form query reads its norm estimate and default poles from its
+    cache, so the queries that share one also share its one power
+    iteration: ``norm_estimate`` runs it on the first call and keeps the
+    norm estimate and the power iterate, ``default_shifts`` takes the
+    pole sign from that iterate on its first call.  Both are
+    deterministic, so they equal what ``power_iteration(A)`` and
+    ``default_shifts(A, m)`` compute.
     """
 
     def __init__(self, A: SparseSym, keep_one=False):
         self.A = A
         self._cache = {}
         self._keep_one = keep_one
+        self._power = None      # (norm estimate, power iterate)
+        self._sign = None
 
     def get(self, xi: Shift) -> ShiftedFactorization:
         key = xi.value
@@ -348,3 +390,16 @@ class FactorizationCache:
             fact = shifted_factorize(self.A, xi)
             self._cache[key] = fact
         return fact
+
+    def norm_estimate(self):
+        """The norm estimate of ``power_iteration(A)``."""
+        if self._power is None:
+            self._power = power_iteration(self.A)
+        return self._power[0]
+
+    def default_shifts(self, m) -> ShiftSequence:
+        """``default_shifts(A, m)``."""
+        nrm = self.norm_estimate()
+        if self._sign is None:
+            self._sign = _pole_sign(self.A, self._power[1])
+        return _default_poles(nrm, self._sign, m)

@@ -162,6 +162,18 @@ def factor_reads(monkeypatch):
     return reads
 
 
+class _NoSuperLU:
+    def __getattr__(self, name):
+        raise AssertionError(f"SuperLU called: scipy.sparse.linalg.{name}")
+
+
+@pytest.fixture
+def no_superlu(monkeypatch):
+    """``shifts.spla`` replaced for the test by a stand-in that fails it
+    on any use."""
+    monkeypatch.setattr(shifts_mod, "spla", _NoSuperLU())
+
+
 class Factorizations(list):
     """(pole value, weak reference to the factor) of every call of
     ``shifts.shifted_factorize``, in call order."""

@@ -1,18 +1,24 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ratlanczos import (FactorizationCache, FormRequest, RankDeficiencyError,
-                        ShiftSequence, SparseSym, TraceRequest, bilinear_form,
-                        block_quad_form, default_shifts, gp_precision_matrix,
-                        hutchinson_trace, init_state,
-                        lanczos_step, logdet, norm_estimate, quad_form,
-                        rademacher_block, residual_bound, run)
+import ratlanczos.shifts as shifts_mod
+from ratlanczos import (BlockFormResult, FactorizationCache, FormRequest,
+                        FormResult, OperatorMismatchError, RankDeficiencyError,
+                        ShiftSequence, SparseSym, TraceRequest, arnoldi_run,
+                        bilinear_form, block_quad_form, block_run,
+                        default_shifts, gp_precision_matrix, hutchinson_trace,
+                        init_state, lanczos_step, logdet, norm_estimate,
+                        quad_form, quad_form_arnoldi, rademacher_block,
+                        residual_bound, run)
 from ratlanczos.dense import matfun_action_e1
-from ratlanczos.problems import gen_strakos, gp_points, strakos_eigenvalues
+from ratlanczos.problems import (gen_laplacian2d, gen_strakos, gp_points,
+                                 strakos_eigenvalues)
 
-from conftest import dense_matfun_oracle, pole_polynomial, rand_shifts, rand_sym
+from conftest import (belady_count, dense_matfun_oracle, pole_polynomial,
+                      rand_shifts, rand_sym)
 
 
 # ---------------------------------------------------------------------------
@@ -391,3 +397,199 @@ def test_import_leaves_kd_tree_unloaded():
 def test_gp_validation():
     with pytest.raises(ValueError):
         gp_precision_matrix(np.zeros((3, 2)), phi=-1.0, delta=0.1)
+
+
+# ---------------------------------------------------------------------------
+# the power iterate and default poles shared through a solver cache
+
+def _strakos(n=200):
+    return gen_strakos(n, 0.01, 100.0, 0.45)
+
+
+def _gp():
+    return gp_precision_matrix(gp_points(300, 2), phi=20.0, delta=0.1)
+
+
+@pytest.fixture
+def power_calls(monkeypatch):
+    """Calls of ``power_iteration`` and of the pole sign's Rayleigh
+    quotient, counted on the names the cache looks up in
+    ``ratlanczos.shifts``."""
+    calls = {"power_iteration": 0, "_pole_sign": 0}
+
+    def count(name):
+        fn = getattr(shifts_mod, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(shifts_mod, name, counting)
+
+    count("power_iteration")
+    count("_pole_sign")
+    return calls
+
+
+def test_warm_queries_run_one_power_iteration(power_calls, rng):
+    A = _strakos()
+    cache = FactorizationCache(A)
+    req = FormRequest(f="sqrt", tol=1e-10, s=1, max_m=30)
+    for _ in range(4):
+        quad_form(A, rng.standard_normal(A.n), req=req, solver_cache=cache)
+    u, v = rng.standard_normal((2, A.n))
+    bilinear_form(A, u, v, req=replace(req, strategy="oblique"), solver_cache=cache)
+    block_quad_form(A, np.column_stack([u, v]), req=req, solver_cache=cache)
+    quad_form_arnoldi(A, v, req=req, solver_cache=cache)
+    assert power_calls == {"power_iteration": 1, "_pole_sign": 1}
+    for m in (17, 30):
+        assert np.array_equal(cache.default_shifts(m).values(),
+                              default_shifts(A, m).values())
+
+
+def test_polarization_runs_one_power_iteration(power_calls, rng):
+    # without a shared cache the two runs of a polarization share the
+    # query's own one
+    A = _strakos()
+    u, v = rng.standard_normal((2, A.n))
+    req = FormRequest(f="sqrt", tol=1e-10, s=1, max_m=30,
+                      strategy="polarization")
+    res = bilinear_form(A, u, v, req=req)
+    assert res.parts["plus"] is not None and res.parts["minus"] is not None
+    assert power_calls == {"power_iteration": 1, "_pole_sign": 1}
+
+
+def _form_arrays(res):
+    """Every number a form result reports, as a list of arrays."""
+    if isinstance(res, FormResult):
+        return [np.array(res.value), res.history, res.residual_bounds]
+    if isinstance(res, BlockFormResult):
+        return [res.value, np.array(res.history)]
+    parts = [a for r in res.parts.values() if r is not None
+             for a in _form_arrays(r)]
+    history = [] if res.history is None else [res.history]
+    return [np.array(res.value), *history, *parts]
+
+
+QUERIES = {
+    "quad_form": lambda A, u, v, req, c: quad_form(A, v, req=req, solver_cache=c),
+    "oblique": lambda A, u, v, req, c: bilinear_form(
+        A, u, v, req=replace(req, strategy="oblique",
+                             stopping_rule="residual-bound"), solver_cache=c),
+    "polarization": lambda A, u, v, req, c: bilinear_form(
+        A, u, v, req=replace(req, strategy="polarization"), solver_cache=c),
+    "block2x2": lambda A, u, v, req, c: bilinear_form(
+        A, u, v, req=replace(req, strategy="block2x2"), solver_cache=c),
+    "block_quad_form": lambda A, u, v, req, c: block_quad_form(
+        A, np.column_stack([u, v]), req=req, solver_cache=c),
+    "quad_form_arnoldi": lambda A, u, v, req, c: quad_form_arnoldi(
+        A, v, req=req, solver_cache=c),
+}
+
+
+@pytest.mark.parametrize("make", [_strakos, _gp], ids=["strakos", "gp"])
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_shared_cache_changes_no_bit(query, make, rng):
+    # cold and warm queries on a shared cache give what a query without
+    # one gives, bit for bit
+    A = make()
+    u, v = rng.standard_normal((2, A.n))
+    req = FormRequest(f="sqrt", tol=1e-10, s=1, max_m=30)
+    ask = QUERIES[query]
+    alone = _form_arrays(ask(A, u, v, req, None))
+    cache = FactorizationCache(A)
+    for _ in range(2):
+        shared = _form_arrays(ask(A, u, v, req, cache))
+        assert len(shared) == len(alone)
+        for x, y in zip(shared, alone):
+            assert np.array_equal(x, y)
+
+
+def test_query_without_cache_keeps_one_factor(factorizations, rng):
+    # a query's own cache keeps one finite factor, as the driver's own
+    # does; the two runs of a polarization share it
+    A, _ = rand_sym(rng, 40, 0.5, 2.0)
+    poles = ShiftSequence.cycled([-0.5, -1.0, -1.0, -2.0, -4.0], 12)
+    req = FormRequest(f="sqrt", tol=1e-300, s=1, max_m=12)
+    res = quad_form(A, rng.standard_normal(A.n), poles, req)
+    assert res.iterations == 12
+    assert len(factorizations) == belady_count(poles.values(), 1) == 10
+    factorizations.clear()
+    u, v = rng.standard_normal((2, A.n))
+    res = bilinear_form(A, u, v, poles, replace(req, strategy="polarization"))
+    twice = np.concatenate([poles.values()] * 2)
+    assert [r.iterations for r in res.parts.values()] == [12, 12]
+    assert len(factorizations) == belady_count(twice, 1) == 20
+
+
+def test_explicit_poles_bound_takes_cached_norm(power_calls, rng):
+    A = _gp()
+    v = rng.standard_normal(A.n)
+    poles = ShiftSequence.cycled([-0.5, -5.0, -50.0], 30)
+    req = FormRequest(f="sqrt", tol=1e-10, s=1, max_m=30,
+                      stopping_rule="residual-bound")
+    alone = quad_form(A, v, poles, req)
+    # explicit poles need no pole sign
+    assert power_calls == {"power_iteration": 1, "_pole_sign": 0}
+    cache = FactorizationCache(A)
+    for _ in range(2):
+        res = quad_form(A, v, poles, req, solver_cache=cache)
+        assert np.array_equal(res.residual_bounds, alone.residual_bounds)
+        assert np.all(res.residual_bounds > 0.0)
+    assert power_calls == {"power_iteration": 2, "_pole_sign": 0}
+
+
+def test_warm_strakos_query_does_only_per_vector_work(no_superlu, monkeypatch):
+    # the benchmark's Strakos query: once the shared cache is warm, a
+    # query makes one matvec to start and one per step, no power
+    # iteration and no SuperLU call
+    A = gen_strakos(900, 0.01, 100, 0.45)
+    vectors = np.random.default_rng(0).standard_normal((3, A.n))
+    req = FormRequest(f="sqrt", tol=1e-10, s=1, max_m=40)
+    cache = FactorizationCache(A)
+    quad_form(A, vectors[0], req=req, solver_cache=cache)
+    matvecs = []
+    matvec = SparseSym.matvec
+
+    def counting(self, x):
+        matvecs.append(1)
+        return matvec(self, x)
+
+    monkeypatch.setattr(SparseSym, "matvec", counting)
+    for v in vectors[1:]:
+        matvecs.clear()
+        res = quad_form(A, v, req=req, solver_cache=cache)
+        assert res.termination == "converged"
+        assert len(matvecs) == res.iterations + 1
+
+
+# ---------------------------------------------------------------------------
+# a solver cache built for another operator
+
+MISMATCH_RUNNERS = {
+    "run": lambda A, v, c: run(A, v, default_shifts(A, 3), 3, solver_cache=c),
+    "block_run": lambda A, v, c: block_run(
+        A, np.column_stack([v, np.roll(v, 1)]), default_shifts(A, 3), 3,
+        solver_cache=c),
+    "arnoldi_run": lambda A, v, c: arnoldi_run(A, v, default_shifts(A, 3), 3,
+                                               solver_cache=c),
+    "quad_form": lambda A, v, c: quad_form(A, v, solver_cache=c),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(MISMATCH_RUNNERS))
+def test_cache_of_another_operator_is_refused(runner, rng):
+    A = gen_laplacian2d(5)
+    other = _strakos(30)
+    v = rng.standard_normal(A.n)
+    with pytest.raises(OperatorMismatchError) as exc:
+        MISMATCH_RUNNERS[runner](A, v, FactorizationCache(other))
+    assert isinstance(exc.value, ValueError)
+    msg = str(exc.value)
+    assert f"n = {other.n}, nnz = {other.nnz}" in msg
+    assert f"n = {A.n}, nnz = {A.nnz}" in msg
+    # an equal copy is another operator too: its factors are not checked
+    twin = SparseSym(A.n, A.row_ptr, A.col_idx, A.values)
+    with pytest.raises(OperatorMismatchError):
+        MISMATCH_RUNNERS[runner](A, v, FactorizationCache(twin))
+    # the cache of the operator itself is accepted
+    MISMATCH_RUNNERS[runner](A, v, FactorizationCache(A))

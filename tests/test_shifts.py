@@ -10,7 +10,8 @@ from ratlanczos import (INFINITY, FactorizationCache, IndefiniteShiftError,
                         Shift, ShiftError, ShiftSequence, SparseSym,
                         default_shifts, gp_precision_matrix, run,
                         shifted_factorize)
-from ratlanczos.problems import gen_laplacian2d, gen_strakos, gp_points
+from ratlanczos.problems import (gen_laplacian2d, gen_strakos, gp_points,
+                                 strakos_eigenvalues)
 from ratlanczos.sparse import power_iteration
 
 from conftest import belady_count, rand_sym
@@ -38,6 +39,60 @@ def test_diagonal_shift_solve():
     # I - A/1 = diag(2, 3)
     x = F.solve(np.array([2.0, 3.0]))
     assert np.allclose(x, [1.0, 1.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("unstored", [False, True], ids=["full", "unstored-zero"])
+def test_diagonal_operator_is_its_own_factor(unstored, no_superlu, rng):
+    # I - A/xi of a diagonal A is its diagonal: no ordering and no
+    # SuperLU factor, and its solves are SuperLU's bit for bit, in the
+    # column-major layout SuperLU returns
+    n = 300
+    lam = strakos_eigenvalues(n, 0.01, 100.0, 0.45)
+    keep = np.arange(n) != 7 if unstored else np.ones(n, dtype=bool)
+    lam[~keep] = 0.0
+    A = SparseSym.from_coo(n, np.arange(n)[keep], np.arange(n)[keep], lam[keep])
+    assert A.nnz == keep.sum()
+    b = rng.standard_normal(n)
+    B = rng.standard_normal((n, 3))
+    for xi in dict.fromkeys(default_shifts(A, 12)):
+        M = (sp.identity(n, format="csc") - xi.inv * A.to_scipy()).tocsc()
+        lu = spla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        F = shifted_factorize(A, xi)
+        assert F.method == "sparse-ldl"
+        x, X = F.solve(b), F.solve(B)
+        assert np.array_equal(x, lu.solve(b))
+        assert np.array_equal(X, lu.solve(B))
+        assert X.flags.f_contiguous
+        assert np.array_equal(F.solve(B[:, :1]), X[:, :1])
+        if unstored:
+            assert x[7] == b[7]
+    assert A.fill_order is None
+
+
+def test_diagonal_factor_proves_definiteness(no_superlu):
+    # a pole at an eigenvalue (a zero diagonal entry) or inside the
+    # spectrum raises
+    lam = np.linspace(1.0, 2.0, 201)
+    A = SparseSym.from_coo(lam.size, np.arange(lam.size), np.arange(lam.size), lam)
+    for pole in (1.0, 1.5, 2.0, 1e-3):
+        with pytest.raises(IndefiniteShiftError) as exc:
+            shifted_factorize(A, Shift(pole))
+        assert exc.value.shift.value == pole
+    assert shifted_factorize(A, Shift(2.0 + 1e-9)).method == "sparse-ldl"
+
+
+def test_off_diagonal_operator_with_few_entries_is_factored(factor_reads, rng):
+    # no more entries than rows, but off the diagonal: SuperLU factors it
+    n = 6
+    A = SparseSym.from_coo(n, [0, 1], [1, 0], [1.0, 1.0])
+    assert A.nnz <= n
+    F = shifted_factorize(A, Shift(-4.0))
+    assert F.method == "sparse-ldl"
+    assert len(factor_reads.factors) == 1
+    b = rng.standard_normal(n)
+    M = np.eye(n) + A.to_dense() / 4.0
+    assert np.linalg.norm(M @ F.solve(b) - b) <= 1e-14 * np.linalg.norm(b)
 
 
 def _complete_graph_laplacian(rng, n):
