@@ -30,7 +30,7 @@ from .io import read_matrix_market, write_matrix_market
 from .lanczos import diagnostics, run
 from .problems import (gen_indicator, gen_laplacian2d, gen_strakos, gp_points,
                        strakos_eigenvalues)
-from .shifts import ShiftSequence, default_shifts
+from .shifts import ShiftSequence
 from .sparse import SparseSym
 
 CSV_SCHEMA = "ratlanczos-csv v1"
@@ -394,8 +394,6 @@ def cmd_fpa(args):
     A = gen_strakos(args.n, args.lam1, args.lamn, args.rho)
     v = _unit_vector(args.n, None, args.seed)
     shifts = parse_shifts(args.shifts, args.m)
-    if shifts is None:
-        shifts = default_shifts(A, args.m)
     t0 = time.perf_counter()
     res = run(A, v, shifts, args.m, retain_basis=True)
     rep = diagnostics(A, res, f=args.f)

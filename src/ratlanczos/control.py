@@ -8,7 +8,6 @@ projection are accumulated while the basis is discarded.
 """
 
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -18,11 +17,10 @@ import scipy.linalg as sla
 
 from .arnoldi import arnoldi_run
 from .block import block_run
-from .dense import care_newton, expm_general, lyap_sym_solver, sym_eig
+from .dense import care_newton, expm_general, lyap_sym_solver
 from .errors import DimensionError, StabilityError
 from .io import read_dense_matrix, read_matrix_market, read_system_descriptor
-from .lanczos import EXACT_TERMINATIONS, lag_converged
-from .shifts import ShiftSequence, default_shifts
+from .lanczos import check_lag, converge, lag_rule
 from .sparse import SparseSym
 
 
@@ -83,20 +81,6 @@ class LtiSystem:
         return self.C.shape[0]
 
 
-def warn_if_unstable(sys: LtiSystem):
-    """Cheap stability screen: warn when the largest Ritz value of 20
-    polynomial Lanczos steps on A is nonnegative."""
-    g = np.random.Generator(np.random.Philox(key=np.uint64(0)))
-    v = g.standard_normal(sys.n)
-    m = max(1, min(20, sys.n - 1))
-    res = block_run(sys.A, v[:, None], ShiftSequence.all_infinite(m), m)
-    lam, _ = sym_eig(res.J)
-    if lam[-1] >= 0.0:
-        warnings.warn(
-            f"system matrix looks unstable (Ritz value {lam[-1]:.3e} >= 0)",
-            stacklevel=2)
-
-
 def mass_transform(sys: LtiSystem) -> LtiSystem:
     """Fold a positive diagonal mass matrix into the system.
 
@@ -144,8 +128,10 @@ def _gramian_form(lyap, jp, F, G):
     return float(np.sum(G * (Y @ G)))
 
 
-def _h2_value(J, gamma, side_proj):
-    val = _gramian_form(lyap_sym_solver(J), J.shape[0], gamma, side_proj)
+def _h2_value(state):
+    J = state.J_view
+    val = _gramian_form(lyap_sym_solver(J), J.shape[0], state.R0,
+                        state.side_view)
     return math.sqrt(max(val, 0.0))
 
 
@@ -156,7 +142,13 @@ def h2_norm(sys: LtiSystem, shifts=None, tol=1e-8, s=1,
     Each step solves the reduced Lyapunov equation of the Gramian whose
     factor seeded the subspace and evaluates the trace form with the
     accumulated opposite-side projection; the run stops when two norm
-    iterates lagged by ``s`` agree to relative ``tol``.
+    iterates lagged by ``s`` agree to relative ``tol``; ``s < 1`` raises
+    ValueError.
+
+    Stability is checked on what the run computes: each step's J must be
+    stable (``StabilityError``) and each pole's I - A/xi definite
+    (``IndefiniteShiftError``).  An unstable A whose J stays stable and
+    whose factorizations all succeed passes silently.
     """
     return _h2_norm(sys, shifts, tol, s, max_m, block_run, "lanczos")
 
@@ -169,23 +161,15 @@ def h2_norm_arnoldi(sys: LtiSystem, shifts=None, tol=1e-8, s=1,
 
 def _h2_norm(sys, shifts, tol, s, max_m, runner, method):
     """Body of ``h2_norm`` on the subspace method ``runner``."""
+    stop = lag_rule(s, tol)
     sys = mass_transform(sys)
-    warn_if_unstable(sys)
     seed, side, mode = _choose_seed(sys)
-    default_used = shifts is None
-    if default_used:
-        shifts = default_shifts(sys.A, max_m)
-    history = []
-
-    def cb(state):
-        history.append(_h2_value(state.J_view, state.R0, state.side_view))
-        return lag_converged(history, s, tol)
-
-    res = runner(sys.A, seed, shifts, max_m, side_matrix=side, callback=cb)
-    converged = res.termination in EXACT_TERMINATIONS
+    res, history, converged = converge(
+        runner, _h2_value, stop, sys.A, seed, shifts, max_m,
+        side_matrix=side)
     return H2Result(norm=history[-1], history=np.array(history),
                     iterations=res.m, converged=converged, seeded_with=mode,
-                    default_shifts_used=default_used, method=method,
+                    default_shifts_used=shifts is None, method=method,
                     block=res)
 
 
@@ -231,23 +215,21 @@ def h2_param_norm(A, pio: ParametricIO, shifts=None, tol=1e-8, s=1,
     enters the trace through the accumulated [B1, B2] projection and
     [I; b(mu)].
     """
+    stop = lag_rule(s, tol)
     if isinstance(A, LtiSystem):
         A = A.A
     q = pio.C1.shape[0]
     p = pio.B1.shape[1]
     seed = np.hstack([pio.C1.T, pio.C2.T])
     side = np.hstack([pio.B1, pio.B2])
-    default_used = shifts is None
-    if default_used:
-        shifts = default_shifts(A, max_m)
 
     wincs = [np.vstack([np.eye(q), np.asarray(pio.c(mu), dtype=float).T])
              for mu in pio.nodes]
     bincs = [np.vstack([np.eye(p), np.asarray(pio.b(mu), dtype=float)])
              for mu in pio.nodes]
-    history = []
 
-    def value(J, gamma, G):
+    def value(state):
+        J, gamma, G = state.J_view, state.R0, state.side_view
         lyap = lyap_sym_solver(J)
         total = 0.0
         for w_quad, winc, binc in zip(pio.weights, wincs, bincs):
@@ -255,16 +237,12 @@ def h2_param_norm(A, pio: ParametricIO, shifts=None, tol=1e-8, s=1,
                                             G @ binc)
         return math.sqrt(max(total, 0.0))
 
-    def cb(state):
-        history.append(value(state.J_view, state.R0, state.side_view))
-        return lag_converged(history, s, tol)
-
-    res = block_run(A, seed, shifts, max_m, side_matrix=side, callback=cb)
-    converged = res.termination in EXACT_TERMINATIONS
+    res, history, converged = converge(
+        block_run, value, stop, A, seed, shifts, max_m, side_matrix=side)
     return H2Result(norm=history[-1], history=np.array(history),
                     iterations=res.m, converged=converged,
                     seeded_with="parametric-output",
-                    default_shifts_used=default_used, block=res)
+                    default_shifts_used=shifts is None, block=res)
 
 
 # ---------------------------------------------------------------------------
@@ -352,38 +330,6 @@ def _trivial_controller(p):
                              Rinv=np.eye(p))
 
 
-class _LqrEvaluator:
-    """Per-step Riccati evaluation and lag-s stopping, called once per
-    step of the subspace method."""
-
-    def __init__(self, Rinv, p, s, tol):
-        self.Rinv = Rinv
-        self.p = p
-        self.s = s
-        self.tol = tol
-        self.recent = deque(maxlen=s + 1)   # controllers of the last s + 1 steps
-        self.metrics = []
-        self.controller = None
-
-    def step(self, J, gamma, side_proj):
-        q = gamma.shape[0]
-        W = np.zeros_like(J)
-        W[:q, :q] = gamma @ gamma.T
-        Bm = side_proj[:, :self.p]
-        z0 = side_proj[:, self.p]
-        Y = care_newton(J, Bm, self.Rinv, W)
-        ctrl = ReducedController(m=J.shape[0], J=J.copy(), B=Bm.copy(),
-                                 Y=Y, z0=z0.copy(), Rinv=self.Rinv)
-        self.recent.append(ctrl)
-        self.controller = ctrl
-        if len(self.recent) <= self.s:
-            self.metrics.append(math.nan)
-            return False
-        metric = l2_stop_metric(ctrl, self.recent[0])
-        self.metrics.append(metric)
-        return metric <= self.tol
-
-
 def lqr_reduce(sys: LtiSystem, shifts=None, tol=1e-8, s=4,
                max_m=80) -> LqrResult:
     """Reduced LQR feedback for a stable symmetric system.
@@ -391,7 +337,11 @@ def lqr_reduce(sys: LtiSystem, shifts=None, tol=1e-8, s=4,
     Seeds the subspace with C^T, accumulates the projections of B and
     x0, solves the projected Riccati equation at every step and stops
     when the relative L2 distance between feedback signals lagged by
-    ``s`` drops below ``tol``.
+    ``s`` drops below ``tol``; ``s < 1`` raises ValueError.
+
+    Stability is checked as in ``h2_norm``, by each step's J and each
+    pole's factorization, so an unstable A whose J stays stable and whose
+    factorizations all succeed passes silently.
     """
     return _lqr_reduce(sys, shifts, tol, s, max_m, block_run, "lanczos")
 
@@ -404,10 +354,11 @@ def lqr_reduce_arnoldi(sys: LtiSystem, shifts=None, tol=1e-8, s=4,
 
 def _lqr_reduce(sys, shifts, tol, s, max_m, runner, method):
     """Body of ``lqr_reduce`` on the subspace method ``runner``."""
+    # the controllers of the last s + 1 steps
+    recent = deque(maxlen=check_lag(s) + 1)
     if sys.R is None or sys.x0 is None:
         raise ValueError("LQR reduction needs both R and x0 on the system")
     sys = mass_transform(sys)
-    warn_if_unstable(sys)
     p = sys.num_inputs
     Rinv = np.linalg.solve(sys.R, np.eye(p))
     if not np.any(sys.C):
@@ -415,22 +366,30 @@ def _lqr_reduce(sys, shifts, tol, s, max_m, runner, method):
         return LqrResult(controller=_trivial_controller(p), iterations=0,
                          converged=True, metric_history=np.array([]),
                          default_shifts_used=False, method=method)
-    default_used = shifts is None
-    if default_used:
-        shifts = default_shifts(sys.A, max_m)
     side = np.hstack([sys.B, sys.x0.reshape(-1, 1)])
-    ev = _LqrEvaluator(Rinv, p, s, tol)
 
-    def cb(state):
-        return ev.step(state.J_view, state.R0, state.side_view)
+    def metric(state):
+        """Solve the step's reduced Riccati equation; the L2 metric against
+        the controller of s steps back, NaN until there is one."""
+        J, gamma, side_proj = state.J_view, state.R0, state.side_view
+        q = gamma.shape[0]
+        W = np.zeros_like(J)
+        W[:q, :q] = gamma @ gamma.T
+        Bm = side_proj[:, :p]
+        Y = care_newton(J, Bm, Rinv, W)
+        recent.append(ReducedController(m=J.shape[0], J=J.copy(), B=Bm.copy(),
+                                        Y=Y, z0=side_proj[:, p].copy(),
+                                        Rinv=Rinv))
+        if len(recent) <= s:
+            return math.nan
+        return l2_stop_metric(recent[-1], recent[0])
 
-    res = runner(sys.A, sys.C.T.copy(), shifts, max_m, side_matrix=side,
-                 callback=cb)
-    converged = res.termination in EXACT_TERMINATIONS
-    return LqrResult(controller=ev.controller, iterations=res.m,
-                     converged=converged,
-                     metric_history=np.array(ev.metrics),
-                     default_shifts_used=default_used, method=method,
+    res, history, converged = converge(
+        runner, metric, lambda h: h[-1] <= tol, sys.A, sys.C.T.copy(),
+        shifts, max_m, side_matrix=side)
+    return LqrResult(controller=recent[-1], iterations=res.m,
+                     converged=converged, metric_history=np.array(history),
+                     default_shifts_used=shifts is None, method=method,
                      block=res)
 
 

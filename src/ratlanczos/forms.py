@@ -18,8 +18,8 @@ from .arnoldi import arnoldi_run
 from .block import block_run
 from .dense import matfun_action_e1, matfun_first_cols
 from .errors import DimensionError, RankDeficiencyError
-from .lanczos import EXACT_TERMINATIONS, lag_converged, run
-from .shifts import FactorizationCache, ShiftSequence, default_shifts
+from .lanczos import converge, lag_rule, run
+from .shifts import FactorizationCache, ShiftSequence
 from .sparse import SparseSym
 
 STRATEGIES = ("quadratic", "polarization", "oblique", "block2x2")
@@ -120,35 +120,50 @@ def quad_form(A: SparseSym, v, shifts=None, req: FormRequest = None,
     keeps one factor at a time.  The results are the same bit for bit.
     """
     req = req or FormRequest()
-    cache = _query_cache(A, solver_cache)
-    if shifts is None:
-        shifts = cache.default_shifts(req.max_m)
-    norm_A = NORM_INFLATION * cache.norm_estimate()
-    fn = req.f
-    history, bounds = [], []
-
-    def cb(state):
-        w = matfun_action_e1(state.J_view, fn)
-        history.append(state.norm_v ** 2 * w[0])
-        bounds.append(_bound(state, w, norm_A))
-        return _stop(req, history, bounds)
-
-    res = run(A, v, shifts, req.max_m, callback=cb, solver_cache=cache)
-    converged = res.termination in EXACT_TERMINATIONS
-    return FormResult(value=history[-1], history=np.array(history),
-                      residual_bounds=np.array(bounds), iterations=res.m,
+    res, history, bounds, converged = _scalar_form(
+        A, v, shifts, req, _query_cache(A, solver_cache),
+        lambda state, w: state.norm_v ** 2 * w[0])
+    return FormResult(value=history[-1], history=history,
+                      residual_bounds=bounds, iterations=res.m,
                       converged=converged, termination=res.termination,
                       strategy="quadratic", lanczos=res)
 
 
-def _stop(req, history, bounds):
-    diff_ok = lag_converged(history, req.s, req.tol)
-    if req.stopping_rule == "iterate-difference":
-        return diff_ok
-    bound_ok = bool(bounds) and bounds[-1] <= req.tol
-    if req.stopping_rule == "residual-bound":
-        return bound_ok
-    return diff_ok and bound_ok
+def _scalar_form(A, v, shifts, req, cache, iterate, side_matrix=None):
+    """The recurrence from v, stopped by the request's rule on the pairs
+    (``iterate(state, w)``, residual bound) with w = f(J) e_1.
+
+    Returns (run result, iterates, residual bounds, converged).
+    """
+    norm_A = NORM_INFLATION * cache.norm_estimate()
+
+    def value(state):
+        w = matfun_action_e1(state.J_view, req.f)
+        return iterate(state, w), _bound(state, w, norm_A)
+
+    res, history, converged = converge(
+        run, value, _form_stop(req), A, v, shifts, req.max_m,
+        side_matrix=side_matrix, solver_cache=cache)
+    iterates, bounds = (np.array(h) for h in zip(*history))
+    return res, iterates, bounds, converged
+
+
+def _form_stop(req):
+    """The request's stopping rule over (iterate, residual bound) pairs:
+    the lag-s difference of the iterates, the newest bound at most tol, or
+    both at the same step."""
+    lag = lag_rule(req.s, req.tol)
+
+    def stop(history):
+        bound_ok = history[-1][1] <= req.tol
+        if req.stopping_rule == "residual-bound":
+            return bound_ok
+        diff_ok = lag([x for x, _ in history[-1 - req.s:]])
+        if req.stopping_rule == "iterate-difference":
+            return diff_ok
+        return diff_ok and bound_ok
+
+    return stop
 
 
 @dataclass
@@ -214,22 +229,11 @@ def bilinear_form(A: SparseSym, u, v, shifts=None, req: FormRequest = None,
                               max(it_p, it_m), parts=parts)
 
     if strategy == "oblique":
-        if shifts is None:
-            shifts = cache.default_shifts(req.max_m)
-        norm_A = NORM_INFLATION * cache.norm_estimate()
-        history, bounds = [], []
-
-        def cb(state):
-            w = matfun_action_e1(state.J_view, req.f)
-            um = state.side_view[:, 0]
-            history.append(state.norm_v * float(um @ w))
-            bounds.append(_bound(state, w, norm_A))
-            return _stop(req, history, bounds)
-
-        res = run(A, v, shifts, req.max_m, side_matrix=u, callback=cb,
-                  solver_cache=cache)
-        return BilinearResult(history[-1], strategy, res.m,
-                              np.array(history))
+        res, history, _, _ = _scalar_form(
+            A, v, shifts, req, cache,
+            lambda state, w: state.norm_v * float(state.side_view[:, 0] @ w),
+            side_matrix=u)
+        return BilinearResult(history[-1], strategy, res.m, history)
 
     # block2x2
     try:
@@ -275,21 +279,15 @@ def _block_quad_form(A, V, shifts, req, solver_cache, runner):
     if V.ndim == 1:
         V = V.reshape(-1, 1)
     p = V.shape[1]
-    cache = _query_cache(A, solver_cache)
-    if shifts is None:
-        shifts = cache.default_shifts(req.max_m)
-    history = []
 
-    def value_from(J, R0):
-        M = R0.T @ matfun_first_cols(J, req.f, p)[:p, :] @ R0
+    def value(state):
+        R0 = state.R0
+        M = R0.T @ matfun_first_cols(state.J_view, req.f, p)[:p, :] @ R0
         return 0.5 * (M + M.T)
 
-    def cb(state):
-        history.append(value_from(state.J_view, state.R0))
-        return lag_converged(history, req.s, req.tol)
-
-    res = runner(A, V, shifts, req.max_m, callback=cb, solver_cache=cache)
-    converged = res.termination in EXACT_TERMINATIONS
+    res, history, converged = converge(
+        runner, value, lag_rule(req.s, req.tol), A, V, shifts, req.max_m,
+        solver_cache=solver_cache)
     return BlockFormResult(value=history[-1], history=history,
                            iterations=res.m, converged=converged,
                            termination=res.termination, block=res)
@@ -359,9 +357,6 @@ def hutchinson_trace(A: SparseSym, req: TraceRequest) -> TraceResult:
 def _hutchinson_trace(A, req, runner):
     """Body of ``hutchinson_trace`` on the subspace method ``runner``."""
     n = A.n
-    shifts = req.shifts
-    if shifts is None:
-        shifts = default_shifts(A, req.max_m)
     cache = FactorizationCache(A)
     freq = FormRequest(f=req.f, tol=req.tol, s=req.s, max_m=req.max_m)
 
@@ -373,7 +368,7 @@ def _hutchinson_trace(A, req, runner):
     while start < req.num_probes:
         count = min(req.block_size, req.num_probes - start)
         Z = rademacher_block(n, req.seed, start, count)
-        br = _block_quad_form(A, Z, shifts, freq, cache, runner)
+        br = _block_quad_form(A, Z, req.shifts, freq, cache, runner)
         samples[start:start + count] = np.diag(br.value)
         group_histories.append(
             np.array([float(np.mean(np.diag(M))) for M in br.history]))
@@ -470,21 +465,15 @@ def quad_form_arnoldi(A: SparseSym, v, shifts=None, req: FormRequest = None,
     short-recurrence quantity).
     """
     req = req or FormRequest()
-    cache = _query_cache(A, solver_cache)
-    if shifts is None:
-        shifts = cache.default_shifts(req.max_m)
     v = np.asarray(v, dtype=float)
     nv = float(np.linalg.norm(v))
-    history = []
 
-    def cb(proc):
-        w = matfun_action_e1(proc.J_view, req.f)
-        history.append(nv ** 2 * w[0])
-        return lag_converged(history, req.s, req.tol)
+    def value(proc):
+        return nv ** 2 * matfun_action_e1(proc.J_view, req.f)[0]
 
-    res = arnoldi_run(A, v, shifts, req.max_m, callback=cb,
-                      solver_cache=cache)
-    converged = res.termination in EXACT_TERMINATIONS
+    res, history, converged = converge(
+        arnoldi_run, value, lag_rule(req.s, req.tol), A, v, shifts,
+        req.max_m, solver_cache=solver_cache)
     return FormResult(value=history[-1], history=np.array(history),
                       residual_bounds=np.array([]), iterations=res.m,
                       converged=converged, termination=res.termination,

@@ -268,8 +268,10 @@ def run(A: SparseSym, v, shifts, m, side_matrix=None, retain_basis=False,
 
     Parameters
     ----------
-    shifts : ShiftSequence or iterable
+    shifts : ShiftSequence, iterable or None
         Poles xi_1 ... xi_m, one consumed per step; must supply at least m.
+        None takes ``default_shifts(A, m)``, read from the run's factor
+        cache (see ``_drive``).
     side_matrix : array, optional
         Columns U whose projections q_j^T U are accumulated on the fly.
     callback : callable, optional
@@ -297,25 +299,23 @@ def _drive(A: SparseSym, shifts, m, start, step, callback=None,
            solver_cache=None):
     """The step loop of ``run``, ``block_run`` and ``arnoldi_run``.
 
-    Checks the poles and m, and that a passed ``solver_cache`` was built
-    for ``A`` itself (``OperatorMismatchError`` otherwise), then builds
-    the process with ``start()`` and calls
-    ``step(process, xi, factorization)`` once per pole, the
-    factorization coming from ``solver_cache``.  A passed cache keeps
-    every factor it makes.  When it is None, the driver builds one that
-    keeps a single finite-pole factor resident and drops it on the next
-    finite-pole miss; on the paired default schedule, which repeats every
-    12 steps, the first refactorization comes at step 13.
-    ``callback(process)`` after a step returning True stops the run as
-    converged.  A step that sets ``process.breakdown`` ends the run as a
-    lucky breakdown, after one last callback whose return is ignored.
+    Checks m, that a passed ``solver_cache`` was built for ``A`` itself
+    (``OperatorMismatchError`` otherwise) and the poles, then builds the
+    process with ``start()`` and calls ``step(process, xi, factorization)``
+    once per pole, the factorization coming from ``solver_cache``.  A
+    passed cache keeps every factor it makes.  When it is None, the driver
+    builds one that keeps a single finite-pole factor resident and drops
+    it on the next finite-pole miss; on the paired default schedule, which
+    repeats every 12 steps, the first refactorization comes at step 13.
+    ``shifts=None`` takes the cache's ``default_shifts(m)``, bit for bit
+    ``default_shifts(A, m)``, so the callers that share one cache share its
+    power iteration.  ``callback(process)`` after a step returning True
+    stops the run as converged.  A step that sets ``process.breakdown``
+    ends the run as a lucky breakdown, after one last callback whose
+    return is ignored.
 
     Returns (process, termination, elapsed seconds).
     """
-    if not isinstance(shifts, ShiftSequence):
-        shifts = ShiftSequence(shifts)
-    if len(shifts) < m:
-        raise ShiftError(f"{len(shifts)} poles supplied for m = {m} steps")
     if m < 1:
         raise ValueError("m must be >= 1")
     if solver_cache is None:
@@ -325,6 +325,12 @@ def _drive(A: SparseSym, shifts, m, start, step, callback=None,
         raise OperatorMismatchError(
             f"solver_cache was built for another operator (n = {B.n}, "
             f"nnz = {B.nnz}) than the one passed (n = {A.n}, nnz = {A.nnz})")
+    if shifts is None:
+        shifts = solver_cache.default_shifts(m)
+    elif not isinstance(shifts, ShiftSequence):
+        shifts = ShiftSequence(shifts)
+    if len(shifts) < m:
+        raise ShiftError(f"{len(shifts)} poles supplied for m = {m} steps")
 
     t0 = time.perf_counter()
     process = start()
@@ -343,17 +349,53 @@ def _drive(A: SparseSym, shifts, m, start, step, callback=None,
     return process, termination, time.perf_counter() - t0
 
 
-def lag_converged(history, s, tol):
-    """Lag-s relative stopping rule: the newest iterate differs from the
-    one s steps back by at most ``tol`` relative to the newest, or by at
-    most ``tol`` absolutely when the newest is zero.  Array iterates are
-    compared in the Frobenius norm."""
-    if len(history) <= s:
-        return False
-    cur, prev = history[-1], history[-1 - s]
-    norm = np.linalg.norm if np.ndim(cur) else abs
-    size, diff = norm(cur), norm(cur - prev)
-    return diff <= tol * size if size else diff <= tol
+def converge(runner, value, stop, *args, **kwargs):
+    """The convergence loop of every pipeline: ``runner(*args, **kwargs)``
+    (``run``, ``block_run`` or ``arnoldi_run``) with a callback that
+    appends ``value(process)`` to a history after every step and stops
+    the run when ``stop(history)`` is True.  A lucky breakdown appends the
+    value of the final, exact process too; its stop is not acted on.
+
+    Returns (run result, history, converged): the history has one entry
+    per step taken, and ``converged`` is True when the run ended on the
+    rule or on a lucky breakdown, False when the step budget ran out.
+    """
+    history = []
+
+    def callback(process):
+        history.append(value(process))
+        return stop(history)
+
+    res = runner(*args, callback=callback, **kwargs)
+    return res, history, res.termination in EXACT_TERMINATIONS
+
+
+def check_lag(s):
+    """The stopping lag ``s`` of a lag-s rule, which must be at least 1:
+    at s = 0 an iterate is compared with itself, so every run would stop
+    after its first step.  Raises ValueError otherwise."""
+    if s < 1:
+        raise ValueError(f"stopping lag must be >= 1, got s = {s}")
+    return s
+
+
+def lag_rule(s, tol):
+    """The lag-s relative stopping rule as a stop function of a history:
+    the newest iterate differs from the one s steps back by at most
+    ``tol`` relative to the newest, or by at most ``tol`` absolutely when
+    the newest is zero.  Array iterates are compared in the Frobenius
+    norm.  The lag goes through ``check_lag`` when the rule is built."""
+    check_lag(s)
+
+    def stop(history):
+        if len(history) <= s:
+            return False
+        cur, prev = history[-1], history[-1 - s]
+        norm = np.linalg.norm if np.ndim(cur) else abs
+        size, diff = norm(cur), norm(cur - prev)
+        return diff <= tol * size if size else diff <= tol
+
+    return stop
 
 
 def _finalize(state, termination, elapsed):

@@ -364,11 +364,11 @@ class FactorizationCache:
     so ``keep_one`` changes memory and factorization count, never a
     result.
 
-    A form query reads its norm estimate and default poles from its
-    cache, so the queries that share one also share its one power
-    iteration: ``norm_estimate`` runs it on the first call and keeps the
-    norm estimate and the power iterate, ``default_shifts`` takes the
-    pole sign from that iterate on its first call.  Both are
+    The step driver reads a run's default poles from its cache, and a
+    form query its norm estimate, so the runs that share one also share
+    its one power iteration: ``norm_estimate`` runs it on the first call
+    and keeps the norm estimate and the power iterate, ``default_shifts``
+    takes the pole sign from that iterate on its first call.  Both are
     deterministic, so they equal what ``power_iteration(A)`` and
     ``default_shifts(A, m)`` compute.
     """

@@ -10,7 +10,6 @@ from ratlanczos import (LtiSystem, ParametricIO, ReducedController,
                         l2_stop_metric, lqr_reduce, lqr_reduce_arnoldi,
                         lyap_sym, mass_transform)
 from ratlanczos.cli import lqr_system
-from ratlanczos.control import warn_if_unstable
 
 from conftest import belady_count, rand_shifts, rand_sym
 
@@ -306,12 +305,10 @@ def test_lqr_bounded_factor_cache_is_bit_identical(rng, monkeypatch,
     assert np.array_equal(res.metric_history, full.metric_history,
                           equal_nan=True)
     assert np.array_equal(res.controller.Y, full.controller.Y)
-    # the stability screen's identity factor, then the poles: Belady's
-    # count with one slot over the steps taken against one factorization
-    # per pole
-    assert [xi for xi, _ in factorizations] == [np.inf, 0.7, 3.0, 7.5]
-    assert bounded[0] == np.inf
-    assert len(bounded) - 1 == belady_count(sh.values(), 1, res.iterations) > 3
+    # Belady's count with one slot over the steps taken against one
+    # factorization per pole
+    assert [xi for xi, _ in factorizations] == [0.7, 3.0, 7.5]
+    assert len(bounded) == belady_count(sh.values(), 1, res.iterations) > 3
 
 
 def test_lqr_twin_agrees_relative_to_control_scale():
@@ -386,8 +383,15 @@ def test_lqr_control_is_optimal_for_reduced_model(rng):
         assert pert >= base - 1e-8 * max(abs(base), 1.0)
 
 
-def test_warns_on_unstable_operator(rng):
-    A, _ = rand_sym(rng, 10, 0.5, 2.0)
-    sys_ = LtiSystem(A=A, B=np.ones((10, 1)), C=np.ones((1, 10)))
-    with pytest.warns(UserWarning):
-        warn_if_unstable(sys_)
+@pytest.mark.parametrize("pipeline", [lqr_reduce, h2_norm],
+                         ids=["lqr_reduce", "h2_norm"])
+def test_unstable_operator_raises_stability_error(pipeline):
+    # lqr_system(30)'s Laplacian shifted so that lambda_max = +0.5: the
+    # rational poles near zero reach the unstable end, and the first J
+    # that holds it fails the stability check of the reduced solve
+    sys_ = lqr_system(30)
+    Ad = sys_.A.to_dense()
+    Ad += (0.5 - np.linalg.eigvalsh(Ad)[-1]) * np.eye(sys_.n)
+    sys_.A = SparseSym.from_dense(Ad)
+    with pytest.raises(StabilityError, match="J must be stable"):
+        pipeline(sys_)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from ratlanczos import (Shift, ShiftError, ShiftSequence, SparseSym,
-                        arnoldi_run, assemble_HK, block_run, diagnostics,
-                        init_state, lanczos_step, run)
+                        arnoldi_run, assemble_HK, block_run, default_shifts,
+                        diagnostics, init_state, lanczos_step, run)
 from ratlanczos.lanczos import (TERM_CONVERGED, TERM_LUCKY_BREAKDOWN,
-                                TERM_MAX_ITERATIONS, lag_converged)
+                                TERM_MAX_ITERATIONS, lag_rule)
 
 from conftest import (assert_projection_matches, rand_shifts, rand_sym,
                       reference_lanczos, repeat_pole_lists, repeated_steps)
@@ -88,6 +88,12 @@ def test_runner_contract(rng, runner):
     res = runner(A, v, rand_shifts(rng, 5, 1.0, 4.0), 5,
                  callback=lambda process: process.j == 2)
     assert res.termination == TERM_CONVERGED and res.m == 2
+
+    # no poles: the driver's cache supplies default_shifts(A, m), bit for bit
+    res = runner(A, v, None, 5)
+    explicit = runner(A, v, default_shifts(A, 5), 5)
+    assert res.shifts == explicit.shifts
+    assert np.array_equal(res.J, explicit.J)
 
     D = SparseSym.from_dense(np.diag([1.0, 2.0, 3.0]))
     res = runner(D, np.array([0.0, 1.0, 0.0]), ShiftSequence([-1.0, -2.0]), 2)
@@ -271,4 +277,4 @@ def test_max_iterations_termination(rng):
     ([np.full((2, 2), 4e-9), np.zeros((2, 2))], 1, True),
 ])
 def test_lag_converged(history, s, expected):
-    assert lag_converged(history, s, 1e-8) == expected
+    assert lag_rule(s, 1e-8)(history) == expected
