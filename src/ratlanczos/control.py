@@ -9,7 +9,7 @@ projection are accumulated while the basis is discarded.
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -202,6 +202,8 @@ class ParametricIO:
             raise DimensionError("one weight per quadrature node required")
         if np.any(self.weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
+        if len(self.nodes) == 0:
+            raise ValueError("the quadrature rule needs at least one node")
 
 
 def h2_param_norm(A, pio: ParametricIO, shifts=None, tol=1e-8, s=1,
@@ -214,10 +216,19 @@ def h2_param_norm(A, pio: ParametricIO, shifts=None, tol=1e-8, s=1,
     map through gamma [I; c(mu)^T] [I, c(mu)] gamma^T; the input map
     enters the trace through the accumulated [B1, B2] projection and
     [I; b(mu)].
+
+    ``A`` is the operator or an ``LtiSystem``, of which only the operator
+    and the mass diagonal E are read: E goes through ``mass_transform``,
+    and the rows of B1, B2 and the columns of C1, C2 are scaled by
+    E^-1/2 with it, so the norm is that of E x' = A x + B(mu) u.
     """
     stop = lag_rule(s, tol)
     if isinstance(A, LtiSystem):
-        A = A.A
+        if A.E is not None:
+            w = 1.0 / np.sqrt(A.E)
+            pio = replace(pio, B1=w[:, None] * pio.B1, B2=w[:, None] * pio.B2,
+                          C1=pio.C1 * w, C2=pio.C2 * w)
+        A = mass_transform(A).A
     q = pio.C1.shape[0]
     p = pio.B1.shape[1]
     seed = np.hstack([pio.C1.T, pio.C2.T])

@@ -303,10 +303,12 @@ def _drive(A: SparseSym, shifts, m, start, step, callback=None,
     (``OperatorMismatchError`` otherwise) and the poles, then builds the
     process with ``start()`` and calls ``step(process, xi, factorization)``
     once per pole, the factorization coming from ``solver_cache``.  A
-    passed cache keeps every factor it makes.  When it is None, the driver
-    builds one that keeps a single finite-pole factor resident and drops
-    it on the next finite-pole miss; on the paired default schedule, which
-    repeats every 12 steps, the first refactorization comes at step 13.
+    passed cache keeps every pole it serves.  When it is None, the driver
+    builds one that keeps a single finite pole resident and drops it on
+    the next finite-pole miss.  On the paired default schedule, which
+    repeats every 12 steps, xi_1 returns at step 13: a pole that went to
+    its factor is factored again, and one the cache iterates by conjugate
+    gradients (see ``FactorizationCache``) resumes its step budget.
     ``shifts=None`` takes the cache's ``default_shifts(m)``, bit for bit
     ``default_shifts(A, m)``, so the callers that share one cache share its
     power iteration.  ``callback(process)`` after a step returning True

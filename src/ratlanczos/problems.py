@@ -54,6 +54,8 @@ def gen_strakos(n, lam1, lamn, rho) -> SparseSym:
     near lam1 with a few isolated large ones.  A standard stressor for
     short-recurrence orthogonality loss.
     """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got n = {n}")
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must be in (0, 1]")
     if not lam1 < lamn:

@@ -7,6 +7,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import daxpy
 
 from .errors import DimensionError, IndefiniteShiftError, ShiftError
 from .sparse import SparseSym, power_iteration
@@ -22,6 +23,16 @@ from .sparse import SparseSym, power_iteration
 #: faster at 9, and lost 1.8-2.3x on the factor at 13 and 3.6-4.3x at 21-25.
 DENSE_CUTOFF = 2000
 DENSE_ROW_NNZ = 8
+
+#: ``FactorizationCache`` serves a pole whose I - A/xi the dominance
+#: certificate proves SPD by conjugate gradients, not by a SuperLU factor,
+#: while the pole's CG work (steps times right-hand-side columns, summed
+#: over its solves) stays within CG_BUDGET_PER_ROOT * sqrt(n).  A factor
+#: of a 2-D grid operator costs O(n^1.5), a CG column step O(nnz) = O(n).
+#: On the n = 40000 Laplacian of ``cli.lqr_system(200)`` a CG step on a
+#: contiguous column took about 0.4 ms and a factor 0.12-0.18 s (one BLAS
+#: thread).
+CG_BUDGET_PER_ROOT = 2.0
 
 #: debug switch: verify the residual of every shifted solve
 CHECK_SOLVE_RESIDUALS = False
@@ -143,7 +154,9 @@ class ShiftedFactorization:
     ``solve`` accepts a vector or an (n, k) block of right-hand sides and
     solves them all against the single stored factorization.  With the
     module flag CHECK_SOLVE_RESIDUALS set, every solve is verified
-    against the operator.
+    against the operator.  ``method`` names the solver (see
+    ``shifted_factorize``; ``cg`` for a pole ``FactorizationCache``
+    iterates).
     """
 
     def __init__(self, shift: Shift, method: str, n: int, solver, apply_op=None):
@@ -160,7 +173,7 @@ class ShiftedFactorization:
             raise DimensionError(
                 f"right-hand side rows {B.shape[0]} != dimension {self.n}")
         B2 = B if not single else B.reshape(-1, 1)
-        X = self._solver(B2)
+        X = self._solve_block(B2)
         if CHECK_SOLVE_RESIDUALS and self._apply_op is not None:
             res = np.linalg.norm(self._apply_op(X) - B2, axis=0)
             bound = SOLVE_RESIDUAL_RTOL * np.maximum(
@@ -170,23 +183,135 @@ class ShiftedFactorization:
                 f"{bound.min():.3e} for xi = {self.shift.value:g}")
         return X[:, 0] if single else X
 
+    def _solve_block(self, B):
+        return self._solver(B)
 
-def _dominance_certificate(M) -> bool:
-    """True when Gershgorin proves the symmetric CSC matrix M positive
-    definite: a positive diagonal d and, in every column, off-diagonal
-    absolute sum off with d - off > 4 k eps (d + off), k the largest
-    number of stored entries in a column (columns are rows, M being
-    symmetric).  The allowance covers the rounding of the computed sums,
-    so an accepted M is SPD as stored.  O(nnz) time and O(n) extra memory
-    beyond one copy of the values.
+
+class _IteratedPole(ShiftedFactorization):
+    """I - A/xi proved SPD with spectrum in [lo, hi], served by conjugate
+    gradients until its budget is spent, then by its SuperLU factor.
+
+    Each column runs ``steps`` CG steps from zero, the Chebyshev bound
+    ceil(ln(2 sqrt(kappa) / eps) / ln((sqrt(kappa) + 1) / (sqrt(kappa) - 1)))
+    with kappa = hi / lo, which brings the error to unit roundoff; it
+    stops early only on an exactly zero residual.  Each solved column is
+    verified: its true residual must be within 4 k eps (hi ||x|| + ||b||),
+    k the most entries in a row of I - A/xi, which is what a
+    backward-stable direct solve reaches up to the rounding of the
+    residual's own product.  A solve whose work would overrun the budget,
+    or with a column that misses, builds the factor with
+    ``shifted_factorize``, which then serves every solve of the pole.
+    ``ledger`` (a ``_CgLedger``) outlives the pole, so a pole served again
+    resumes where it left off.  Holds no matrix of its own: a step applies
+    A, one sparse product per column.
+    """
+
+    def __init__(self, A: SparseSym, xi: Shift, lo, hi, k, steps, ledger):
+        inv = xi.inv
+        # no bound method as the solver: the cycle would keep a dropped
+        # pole, and its factor, alive until the next garbage collection
+        super().__init__(xi, "cg", A.n, None,
+                         apply_op=lambda X: X - inv * A.matmat(X))
+        self._A = A
+        self._hi = hi
+        self._rtol = 4.0 * k * np.finfo(float).eps
+        self._steps = steps
+        self._ledger = ledger
+        self._factor = None
+
+    def _solve_block(self, B):
+        if self._factor is None:
+            key, spent = self.shift.value, self._ledger.spent
+            self._ledger.widest = max(self._ledger.widest, B.shape[1])
+            work = spent.get(key, 0) + self._steps * B.shape[1]
+            if work <= CG_BUDGET_PER_ROOT * math.sqrt(self.n):
+                spent[key] = work
+                X = self._cg(B)
+                if X is not None:
+                    return X
+            spent[key] = math.inf
+            self._factor = shifted_factorize(self._A, self.shift)
+            self.method = self._factor.method
+        return self._factor._solve_block(B)
+
+    def _cg(self, B):
+        """CG on every column of B, each a contiguous vector; None when a
+        column misses its residual bound."""
+        M = self._A.to_scipy()
+        inv = self.shift.inv
+        X = np.empty(B.shape, order="F")
+        for j in range(B.shape[1]):
+            b = np.ascontiguousarray(B[:, j])
+            x = np.zeros_like(b)
+            r = b.copy()
+            p = b.copy()
+            rr = float(r @ r)
+            for _ in range(self._steps):
+                if rr == 0.0:
+                    break
+                q = M @ p
+                q *= -inv
+                q += p
+                alpha = rr / float(p @ q)
+                daxpy(p, x, a=alpha)
+                daxpy(q, r, a=-alpha)
+                rr, rr_prev = float(r @ r), rr
+                p *= rr / rr_prev
+                p += r
+            res = np.linalg.norm(b - x + inv * (M @ x))
+            if not res <= self._rtol * (self._hi * np.linalg.norm(x)
+                                        + np.linalg.norm(b)):
+                return None
+            X[:, j] = x
+        return X
+
+
+class _CgLedger:
+    """What a cache's iterated poles share: the CG work spent per pole
+    value, inf once the pole went to its factor, and the most columns an
+    iterated pole was asked to solve at once."""
+
+    def __init__(self):
+        self.spent = {}
+        self.widest = 1
+
+
+def _cg_steps(lo, hi):
+    """The Chebyshev step count of ``_IteratedPole`` for spectrum [lo, hi]."""
+    root = math.sqrt(hi / lo)
+    if root <= 1.0:
+        return 1
+    eps = np.finfo(float).eps
+    return max(1, math.ceil(math.log(2.0 * root / eps)
+                            / math.log((root + 1.0) / (root - 1.0))))
+
+
+def _dominance_certificate(M):
+    """The Gershgorin interval (lo, hi) of the symmetric CSC matrix M when
+    it proves M positive definite, else None: a positive diagonal d and,
+    in every column, off-diagonal absolute sum off with
+    d - off > 4 k eps (d + off), k the largest number of stored entries in
+    a column (columns are rows, M being symmetric).  The allowance covers
+    the rounding of the computed sums, so an accepted M is SPD as stored.
+    O(nnz) time and O(n) extra memory beyond one copy of the values.
     """
     counts = np.diff(M.indptr)
     if counts.min() == 0:      # an empty column has a zero diagonal
-        return False
+        return None
     d = M.diagonal()
     off = np.add.reduceat(np.abs(M.data), M.indptr[:-1]) - d
-    tol = 4.0 * counts.max() * np.finfo(float).eps
-    return bool(np.all(d > 0.0) and np.all(d - off > tol * (d + off)))
+    return _gershgorin_interval(d, off, counts.max())
+
+
+def _gershgorin_interval(d, off, k):
+    """(min(d - off), max(d + off)) when every row has d > 0 and
+    d - off > 4 k eps (d + off), else None; see ``_dominance_certificate``.
+    The interval holds the spectrum, so hi / lo bounds the condition
+    number."""
+    tol = 4.0 * k * np.finfo(float).eps
+    if not (np.all(d > 0.0) and np.all(d - off > tol * (d + off))):
+        return None
+    return float(np.min(d - off)), float(np.max(d + off))
 
 
 def _fill_order(M):
@@ -311,7 +436,7 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
         raise IndefiniteShiftError(
             f"sparse factorization of I - A/xi failed for xi = {xi.value:g}: {exc}",
             shift=xi) from exc
-    if not _dominance_certificate(M):
+    if _dominance_certificate(M) is None:
         # reading lu.U makes SciPy build CSC copies of L and U and keep
         # them on the factor for its lifetime
         dU = lu.U.diagonal()
@@ -323,6 +448,24 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
     def solve(B):
         return _take_rows(lu.solve(_take_rows(B, ip)), perm_c)
     return ShiftedFactorization(xi, "sparse-ldl", n, solve, apply_op=apply_op)
+
+
+def _takes_superlu(A: SparseSym) -> bool:
+    """Whether ``shifted_factorize`` factors I - A/xi, for a finite xi,
+    by SuperLU: neither the dense nor the diagonal path."""
+    dense = A.n <= DENSE_CUTOFF and A.nnz > DENSE_ROW_NNZ * A.n
+    return not dense and _stored_diagonal(A) is None
+
+
+def _gershgorin_rows(A: SparseSym):
+    """(diagonal, off-diagonal absolute row sums, most entries in a row of
+    I - A/xi) of A, from which ``_gershgorin_interval`` certifies a pole
+    in O(n) more."""
+    M = A.to_scipy()
+    diag = M.diagonal()
+    off = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
+    # the diagonal of I - A/xi is stored even where A's is not
+    return diag, off, int(np.diff(M.indptr).max()) + 1
 
 
 def _stored_diagonal(A: SparseSym):
@@ -354,15 +497,35 @@ class FactorizationCache:
     the factorization of a repeated pole removes most of the solve setup
     cost of a run.
 
-    By default every factor stays resident for the cache's lifetime, so
+    A finite pole is served one of three ways, chosen from counts and the
+    operator's entries alone, never from timing:
+
+    - by ``shifted_factorize`` (identity, dense Cholesky, the diagonal
+      or a SuperLU factor), for every operator and pole not below;
+    - by conjugate gradients (``method`` ``cg``), when I - A/xi would go
+      to SuperLU, the dominance certificate proves it SPD, computed in
+      O(nnz) per pole from A's row sums, and its Chebyshev step count times
+      the widest solve an iterated pole of the cache has seen (one column
+      at first) is within the budget ``CG_BUDGET_PER_ROOT * sqrt(n)``.
+      The pole iterates while its steps times right-hand-side columns,
+      summed over its solves, stay within that budget, and every solved
+      column is residual-verified.  A solve that would overrun the budget,
+      or whose residual misses, builds the SuperLU factor, which serves
+      the pole from then on, so a shared cache serving many queries ends
+      at the factor.  Poles that are not certified are factored at
+      ``get``, so ``IndefiniteShiftError`` comes where it always did.
+
+    By default every pole stays resident for the cache's lifetime, so
     callers that share one cache across runs reuse all of them.  With
-    ``keep_one`` a finite-pole miss first drops the resident finite-pole
-    factor, then factors the new pole, so at most one stays resident.
-    Infinite poles cost nothing to keep and are never dropped.  A factor
-    that failed the dominance certificate carries SciPy's copies of L and
-    U, so the bound covers those too.  Refactoring gives the same factor,
-    so ``keep_one`` changes memory and factorization count, never a
-    result.
+    ``keep_one`` a finite-pole miss first drops the resident finite poles,
+    then serves the new one, so at most one factor stays resident.  A pole
+    that returns is served the way it was when dropped: an iterated pole
+    resumes its budget and one that went to its factor is factored again.
+    Factors and CG steps are deterministic, so ``keep_one`` changes memory
+    and factorization count, never a result.  Infinite poles cost nothing
+    to keep and are never dropped.  A factor that failed the dominance
+    certificate carries SciPy's copies of L and U, so the bound covers
+    those too.
 
     The step driver reads a run's default poles from its cache, and a
     form query its norm estimate, so the runs that share one also share
@@ -379,6 +542,7 @@ class FactorizationCache:
         self._keep_one = keep_one
         self._power = None      # (norm estimate, power iterate)
         self._sign = None
+        self._ledger = _CgLedger()
 
     def get(self, xi: Shift) -> ShiftedFactorization:
         key = xi.value
@@ -387,9 +551,36 @@ class FactorizationCache:
             if self._keep_one and not xi.is_infinite:
                 self._cache = {k: f for k, f in self._cache.items()
                                if math.isinf(k)}
-            fact = shifted_factorize(self.A, xi)
+            fact = self._iterated(xi) or shifted_factorize(self.A, xi)
             self._cache[key] = fact
         return fact
+
+    def _iterated(self, xi: Shift):
+        """An ``_IteratedPole`` for a finite pole whose I - A/xi would go to
+        SuperLU, that the dominance certificate proves SPD, whose CG steps
+        for as many columns as the widest solve so far fit the budget (on
+        its first service) and that has not gone to its factor; else
+        None."""
+        spent = self._ledger.spent
+        if xi.is_infinite or spent.get(xi.value) == math.inf:
+            return None
+        if not _takes_superlu(self.A):
+            return None
+        # recomputed per pole, so that no n-vector stays resident next to
+        # the factors
+        diag, off, k = _gershgorin_rows(self.A)
+        inv = xi.inv
+        interval = _gershgorin_interval(1.0 - inv * diag, abs(inv) * off, k)
+        if interval is None:
+            return None
+        steps = _cg_steps(*interval)
+        # a pole served before resumes, so that keep_one and keep-all
+        # caches decide alike
+        if xi.value not in spent:
+            if steps * self._ledger.widest > CG_BUDGET_PER_ROOT * math.sqrt(self.A.n):
+                return None
+            spent[xi.value] = 0
+        return _IteratedPole(self.A, xi, *interval, k, steps, self._ledger)
 
     def norm_estimate(self):
         """The norm estimate of ``power_iteration(A)``."""

@@ -263,3 +263,11 @@ def test_network_matrix_optional(tmp_path):
     assert run_cli(["normalize", path, out, "--symmetric", "--shift", "-2"]) == 0
     assert run_cli(["biform", "--matrix", out, "--f", "exp", "--index", "0",
                     "--oracle", "none", "--outdir", tmp_path]) == 0
+
+
+def test_h2param_refuses_zero_nodes(tmp_path, capsys):
+    code = run_cli(["h2param", "--demo", "--mu-nodes", "0", "--outdir", tmp_path])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and err["command"] == "h2param"
+    assert "at least one node" in err["message"]

@@ -395,3 +395,27 @@ def test_unstable_operator_raises_stability_error(pipeline):
     sys_.A = SparseSym.from_dense(Ad)
     with pytest.raises(StabilityError, match="J must be stable"):
         pipeline(sys_)
+
+
+def test_param_norm_folds_in_the_mass_diagonal():
+    # b = c = 0 gives the plain H2 norm, which must see E
+    n = 10
+    A = SparseSym.from_dense(np.diag(-np.linspace(1.0, 5.0, n)))
+    rng = np.random.default_rng(3)
+    B, C = rng.standard_normal((n, 1)), rng.standard_normal((1, n))
+    sys_ = LtiSystem(A=A, B=B, C=C, E=np.linspace(1.0, 4.0, n))
+    pio = ParametricIO(B1=B, B2=rng.standard_normal((n, 1)), C1=C,
+                       C2=rng.standard_normal((1, n)),
+                       b=lambda mu: np.zeros((1, 1)),
+                       c=lambda mu: np.zeros((1, 1)),
+                       nodes=[0.0], weights=[1.0])
+    res = h2_param_norm(sys_, pio, None, tol=1e-12, s=1, max_m=n)
+    base = h2_norm(sys_, None, tol=1e-12, s=1, max_m=n)
+    assert abs(res.norm - base.norm) <= 1e-10 * base.norm
+
+
+def test_param_io_refuses_an_empty_rule():
+    z = np.zeros((4, 1))
+    with pytest.raises(ValueError, match="at least one node"):
+        ParametricIO(B1=z, B2=z, C1=z.T, C2=z.T, b=None, c=None,
+                     nodes=[], weights=[])

@@ -84,3 +84,9 @@ def test_gp_points_reproducible():
     assert p1.shape == (100, 2)
     assert p1.min() >= 0.0 and p1.max() <= 1.0
     assert not np.array_equal(p1, gp_points(100, seed=4))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_strakos_refuses_fewer_than_two_points(n):
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        gen_strakos(n, 0.01, 100.0, 0.45)

@@ -236,3 +236,46 @@ def test_bounded_cache_is_bit_identical(case):
         refactored = (belady_count(poles, 1, bounded.m)
                       > belady_count(poles, m, bounded.m))
         event(f"{name}: {'refactored' if refactored else 'no refactor'}")
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from(["laplacian", "banded"]), st.integers(20, 40),
+       st.floats(-3.0, 3.0), st.floats(0.0, 4.0), st.sampled_from([-1.0, 1.0]))
+def test_iterated_poles_match_their_factor(kind, size, log_scale, log_xi, sign):
+    """A pole the cache iterates solves to the SuperLU solution within the
+    direct solve's residual; a pole the certificate does not prove SPD
+    is never iterated."""
+    import scipy.sparse as sp
+
+    from ratlanczos.problems import gen_laplacian2d
+
+    scale = 10.0 ** log_scale
+    if kind == "laplacian":
+        A = gen_laplacian2d(size)
+        A = SparseSym._from_scipy(A.to_scipy() * scale)
+    else:
+        n = size * size
+        off = [np.full(n - k, 0.3 / k) for k in (1, 2, 3)]
+        M = sp.diags(off + [np.ones(n)] + off, [1, 2, 3, 0, -1, -2, -3])
+        A = SparseSym._from_scipy(M * scale)
+    nrm = FactorizationCache(A).norm_estimate()
+    xi = Shift(sign * nrm * 10.0 ** (-log_xi))
+    cache = FactorizationCache(A)
+    try:
+        F = cache.get(xi)
+    except IndefiniteShiftError:
+        return
+    rows = shifts_mod._gershgorin_rows(A)
+    certified = shifts_mod._gershgorin_interval(
+        1.0 - xi.inv * rows[0], abs(xi.inv) * rows[1], rows[2]) is not None
+    event(F.method)
+    if not certified:
+        assert F.method != "cg"
+        return
+    b = np.random.default_rng(size).standard_normal(A.n)
+    x = F.solve(b)
+    y = shifted_factorize(A, xi).solve(b)
+    op = lambda v: v - xi.inv * A.matvec(v)
+    r_direct = np.linalg.norm(op(y) - b)
+    r_cg = np.linalg.norm(op(x) - b)
+    assert r_cg <= 16.0 * max(r_direct, np.finfo(float).eps * np.linalg.norm(b))

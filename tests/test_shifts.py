@@ -441,3 +441,88 @@ def test_infinite_poles_neither_count_nor_evict(factorizations, rng):
     assert belady_count(poles, 1) == 6
     assert alive == [1] * len(poles)
     assert last == [inf, a]
+
+
+# ---------------------------------------------------------------------------
+# poles the cache serves by conjugate gradients
+
+def test_cache_path_choice_follows_columns():
+    # xi_1 of a grid Laplacian: kappa ~ 2, 22 CG steps, so 1-2-column
+    # solves fit 2 sqrt(n) = 100 and iterate; a GP precision matrix whose
+    # first solve has 40 columns goes to its factor
+    A = gen_laplacian2d(50)
+    cache = FactorizationCache(A)
+    xi = cache.default_shifts(1)[0]
+    F = cache.get(xi)
+    assert F.method == "cg"
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal((A.n, 2))
+    X = F.solve(b)
+    D = shifted_factorize(A, xi)
+    assert F.method == "cg"
+    assert np.abs(X - D.solve(b)).max() <= 1e-13 * np.abs(X).max()
+    F.solve(b[:, 0])
+    assert F.method == "cg"
+
+    P = gp_precision_matrix(gp_points(600, 0), phi=20, delta=0.02)
+    cache = FactorizationCache(P)
+    G = cache.get(cache.default_shifts(1)[0])
+    assert G.method == "cg"
+    G.solve(rng.standard_normal((P.n, 40)))
+    assert G.method == "sparse-ldl"
+
+
+def test_iterated_pole_goes_to_factor_when_budget_is_spent(factorizations):
+    A = gen_laplacian2d(50)
+    cache = FactorizationCache(A, keep_one=True)
+    xi = cache.default_shifts(1)[0]
+    b = np.ones(A.n)
+    F = cache.get(xi)
+    for _ in range(4):          # 4 x 22 steps within the budget of 100
+        F.solve(b)
+    assert F.method == "cg" and not factorizations
+    F.solve(b)
+    assert F.method == "sparse-ldl" and len(factorizations) == 1
+    # dropped and served again: the pole stays at its factor
+    cache.get(Shift(-1.0))
+    assert cache.get(xi).method == "sparse-ldl"
+
+
+def test_uncertified_pole_never_iterates():
+    # above the spectral radius (about 5), below the row sums (13-14):
+    # SPD, but Gershgorin proves nothing
+    A = _signed_random_graph(200, 0)
+    cache = FactorizationCache(A)
+    for xi in (8.0, -8.0):
+        assert cache.get(Shift(xi)).method == "sparse-ldl"
+
+
+def test_iterated_solve_that_misses_falls_back(monkeypatch):
+    A = gen_laplacian2d(50)
+    cache = FactorizationCache(A)
+    xi = cache.default_shifts(1)[0]
+    F = cache.get(xi)
+    monkeypatch.setattr(F, "_steps", 1)     # too few to reach roundoff
+    b = np.random.default_rng(0).standard_normal(A.n)
+    x = F.solve(b)
+    assert F.method == "sparse-ldl"
+    assert np.array_equal(x, shifted_factorize(A, xi).solve(b))
+
+
+def test_pipelines_pass_residual_checks_on_iterated_poles(monkeypatch):
+    from ratlanczos import h2_norm, lqr_reduce
+    from ratlanczos.cli import lqr_system
+
+    monkeypatch.setattr(shifts_mod, "CHECK_SOLVE_RESIDUALS", True)
+    made = []
+    init = shifts_mod._IteratedPole.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(shifts_mod._IteratedPole, "__init__", recording)
+    sys_ = lqr_system(50)
+    assert lqr_reduce(sys_, tol=1e-8, s=4).iterations > 0
+    assert h2_norm(sys_, tol=1e-8).converged
+    assert made
