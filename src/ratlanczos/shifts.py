@@ -201,12 +201,13 @@ class _IteratedPole(ShiftedFactorization):
     residual's own product.  A solve whose work would overrun the budget,
     or with a column that misses, builds the factor with
     ``shifted_factorize``, which then serves every solve of the pole.
-    ``ledger`` (a ``_CgLedger``) outlives the pole, so a pole served again
-    resumes where it left off.  Holds no matrix of its own: a step applies
-    A, one sparse product per column.
+    ``spent``, the cache's CG work per pole value (inf once the pole went
+    to its factor), outlives the pole, so a pole served again resumes
+    where it left off.  Holds no matrix of its own: a step applies A, one
+    sparse product per column.
     """
 
-    def __init__(self, A: SparseSym, xi: Shift, lo, hi, k, steps, ledger):
+    def __init__(self, A: SparseSym, xi: Shift, lo, hi, k, steps, spent):
         inv = xi.inv
         # no bound method as the solver: the cycle would keep a dropped
         # pole, and its factor, alive until the next garbage collection
@@ -216,15 +217,14 @@ class _IteratedPole(ShiftedFactorization):
         self._hi = hi
         self._rtol = 4.0 * k * np.finfo(float).eps
         self._steps = steps
-        self._ledger = ledger
+        self._spent = spent
         self._factor = None
 
     def _solve_block(self, B):
         if self._factor is None:
-            key, spent = self.shift.value, self._ledger.spent
-            self._ledger.widest = max(self._ledger.widest, B.shape[1])
+            key, spent = self.shift.value, self._spent
             work = spent.get(key, 0) + self._steps * B.shape[1]
-            if work <= CG_BUDGET_PER_ROOT * math.sqrt(self.n):
+            if work <= _cg_budget(self.n):
                 spent[key] = work
                 X = self._cg(B)
                 if X is not None:
@@ -266,14 +266,10 @@ class _IteratedPole(ShiftedFactorization):
         return X
 
 
-class _CgLedger:
-    """What a cache's iterated poles share: the CG work spent per pole
-    value, inf once the pole went to its factor, and the most columns an
-    iterated pole was asked to solve at once."""
-
-    def __init__(self):
-        self.spent = {}
-        self.widest = 1
+def _cg_budget(n):
+    """The CG work, steps times columns, a pole may spend before its
+    factor is built."""
+    return CG_BUDGET_PER_ROOT * math.sqrt(n)
 
 
 def _cg_steps(lo, hi):
@@ -395,8 +391,9 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
                                     apply_op=lambda X: X)
     inv = xi.inv
     apply_op = lambda X: X - inv * A.matmat(X)
+    kind = _solver_kind(A)
 
-    if n <= DENSE_CUTOFF and A.nnz > DENSE_ROW_NNZ * n:
+    if kind == "dense":
         M = np.eye(n) - inv * A.to_dense()
         try:
             c, low = sla.cho_factor(M, lower=True, check_finite=False)
@@ -409,9 +406,8 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
             lambda B: sla.cho_solve((c, low), B, check_finite=False),
             apply_op=apply_op)
 
-    diag = _stored_diagonal(A)
-    if diag is not None:
-        d = 1.0 - inv * diag
+    if kind == "diagonal":
+        d = 1.0 - inv * A.to_scipy().diagonal()
         if not np.all(d > 0.0):
             raise IndefiniteShiftError(
                 f"I - A/xi with xi = {xi.value:g} is not positive definite "
@@ -450,11 +446,19 @@ def shifted_factorize(A: SparseSym, xi: Shift) -> ShiftedFactorization:
     return ShiftedFactorization(xi, "sparse-ldl", n, solve, apply_op=apply_op)
 
 
-def _takes_superlu(A: SparseSym) -> bool:
-    """Whether ``shifted_factorize`` factors I - A/xi, for a finite xi,
-    by SuperLU: neither the dense nor the diagonal path."""
-    dense = A.n <= DENSE_CUTOFF and A.nnz > DENSE_ROW_NNZ * A.n
-    return not dense and _stored_diagonal(A) is None
+def _solver_kind(A: SparseSym) -> str:
+    """How ``shifted_factorize`` factors I - A/xi for a finite xi:
+    ``dense`` (LAPACK Cholesky) when n <= DENSE_CUTOFF and A stores more
+    than DENSE_ROW_NNZ entries per row on average, ``diagonal`` when A
+    stores no entry off its diagonal, else ``superlu``.  Costs O(1) when
+    A stores more than n entries, O(n) otherwise."""
+    if A.n <= DENSE_CUTOFF and A.nnz > DENSE_ROW_NNZ * A.n:
+        return "dense"
+    if A.nnz <= A.n:
+        rows = np.repeat(np.arange(A.n), np.diff(A.row_ptr))
+        if np.array_equal(rows, A.col_idx):
+            return "diagonal"
+    return "superlu"
 
 
 def _gershgorin_rows(A: SparseSym):
@@ -466,17 +470,6 @@ def _gershgorin_rows(A: SparseSym):
     off = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
     # the diagonal of I - A/xi is stored even where A's is not
     return diag, off, int(np.diff(M.indptr).max()) + 1
-
-
-def _stored_diagonal(A: SparseSym):
-    """The diagonal of A if A stores no entry off it, else None.  Costs
-    O(1) when A stores more than n entries, O(n) otherwise."""
-    if A.nnz > A.n:
-        return None
-    rows = np.repeat(np.arange(A.n), np.diff(A.row_ptr))
-    if not np.array_equal(rows, A.col_idx):
-        return None
-    return A.to_scipy().diagonal()
 
 
 def _take_rows(X, idx):
@@ -504,9 +497,8 @@ class FactorizationCache:
       or a SuperLU factor), for every operator and pole not below;
     - by conjugate gradients (``method`` ``cg``), when I - A/xi would go
       to SuperLU, the dominance certificate proves it SPD, computed in
-      O(nnz) per pole from A's row sums, and its Chebyshev step count times
-      the widest solve an iterated pole of the cache has seen (one column
-      at first) is within the budget ``CG_BUDGET_PER_ROOT * sqrt(n)``.
+      O(nnz) per pole from A's row sums, and its Chebyshev step count for
+      one column is within the budget ``CG_BUDGET_PER_ROOT * sqrt(n)``.
       The pole iterates while its steps times right-hand-side columns,
       summed over its solves, stay within that budget, and every solved
       column is residual-verified.  A solve that would overrun the budget,
@@ -514,6 +506,14 @@ class FactorizationCache:
       the pole from then on, so a shared cache serving many queries ends
       at the factor.  Poles that are not certified are factored at
       ``get``, so ``IndefiniteShiftError`` comes where it always did.
+
+    The budget is the cache's, summed over every query it serves.  So on
+    an operator whose poles it iterates, a warm query can meet a pole at
+    its factor where a query with a fresh cache still iterates it, and
+    the two results differ at roundoff: each solve is within the residual
+    bound of a direct solve, but not the same bits.  On the dense and
+    diagonal paths, and for poles that are not certified, a warm query
+    gives the bits of a query without a cache.
 
     By default every pole stays resident for the cache's lifetime, so
     callers that share one cache across runs reuse all of them.  With
@@ -542,7 +542,7 @@ class FactorizationCache:
         self._keep_one = keep_one
         self._power = None      # (norm estimate, power iterate)
         self._sign = None
-        self._ledger = _CgLedger()
+        self._spent = {}        # CG work per pole value, inf once factored
 
     def get(self, xi: Shift) -> ShiftedFactorization:
         key = xi.value
@@ -558,13 +558,11 @@ class FactorizationCache:
     def _iterated(self, xi: Shift):
         """An ``_IteratedPole`` for a finite pole whose I - A/xi would go to
         SuperLU, that the dominance certificate proves SPD, whose CG steps
-        for as many columns as the widest solve so far fit the budget (on
-        its first service) and that has not gone to its factor; else
-        None."""
-        spent = self._ledger.spent
-        if xi.is_infinite or spent.get(xi.value) == math.inf:
+        for one column fit the budget and that has not gone to its factor;
+        else None."""
+        if xi.is_infinite or self._spent.get(xi.value) == math.inf:
             return None
-        if not _takes_superlu(self.A):
+        if _solver_kind(self.A) != "superlu":
             return None
         # recomputed per pole, so that no n-vector stays resident next to
         # the factors
@@ -574,13 +572,11 @@ class FactorizationCache:
         if interval is None:
             return None
         steps = _cg_steps(*interval)
-        # a pole served before resumes, so that keep_one and keep-all
-        # caches decide alike
-        if xi.value not in spent:
-            if steps * self._ledger.widest > CG_BUDGET_PER_ROOT * math.sqrt(self.A.n):
-                return None
-            spent[xi.value] = 0
-        return _IteratedPole(self.A, xi, *interval, k, steps, self._ledger)
+        if steps > _cg_budget(self.A.n):
+            return None
+        # a pole served before resumes its spent work, so that keep_one
+        # and keep-all caches decide alike
+        return _IteratedPole(self.A, xi, *interval, k, steps, self._spent)
 
     def norm_estimate(self):
         """The norm estimate of ``power_iteration(A)``."""

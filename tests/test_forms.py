@@ -489,8 +489,8 @@ QUERIES = {
 @pytest.mark.parametrize("make", [_strakos, _gp], ids=["strakos", "gp"])
 @pytest.mark.parametrize("query", sorted(QUERIES))
 def test_shared_cache_changes_no_bit(query, make, rng):
-    # cold and warm queries on a shared cache give what a query without
-    # one gives, bit for bit
+    # on the diagonal (Strakos) and dense (GP) paths, cold and warm queries
+    # on a shared cache give what a query without one gives, bit for bit
     A = make()
     u, v = rng.standard_normal((2, A.n))
     req = FormRequest(f="sqrt", tol=1e-10, s=1, max_m=30)
@@ -502,6 +502,28 @@ def test_shared_cache_changes_no_bit(query, make, rng):
         assert len(shared) == len(alone)
         for x, y in zip(shared, alone):
             assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_shared_cache_on_iterated_poles_agrees_at_roundoff(query, rng):
+    # a grid Laplacian's largest poles are iterated; the CG budget is the
+    # cache's, so a warm query meets them at their factor where a query's
+    # own cache iterates: the cold query keeps the bits, a warm one takes
+    # as many steps and agrees in its value to roundoff
+    A = SparseSym._from_scipy(-gen_laplacian2d(50).to_scipy())
+    u, v = rng.standard_normal((2, A.n))
+    req = FormRequest(f="sqrt", tol=1e-10, s=1, max_m=30)
+    ask = QUERIES[query]
+    alone = _form_arrays(ask(A, u, v, req, None))
+    cache = FactorizationCache(A)
+    cold = _form_arrays(ask(A, u, v, req, cache))
+    for x, y in zip(cold, alone, strict=True):
+        assert np.array_equal(x, y)
+    warm = _form_arrays(ask(A, u, v, req, cache))
+    assert [np.shape(x) for x in warm] == [np.shape(y) for y in alone]
+    assert np.abs(warm[0] - alone[0]).max() <= 1e-9 * np.abs(alone[0]).max()
+    xi = cache.default_shifts(1)[0]
+    assert cache._spent[xi.value] == np.inf
 
 
 def test_query_without_cache_keeps_one_factor(factorizations, rng):
