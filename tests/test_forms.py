@@ -522,8 +522,7 @@ def test_shared_cache_on_iterated_poles_agrees_at_roundoff(query, rng):
     warm = _form_arrays(ask(A, u, v, req, cache))
     assert [np.shape(x) for x in warm] == [np.shape(y) for y in alone]
     assert np.abs(warm[0] - alone[0]).max() <= 1e-9 * np.abs(alone[0]).max()
-    xi = cache.default_shifts(1)[0]
-    assert cache._spent[xi.value] == np.inf
+    assert cache.get(cache.default_shifts(1)[0]).method == "sparse-ldl"
 
 
 def test_query_without_cache_keeps_one_factor(factorizations, rng):

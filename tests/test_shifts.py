@@ -463,6 +463,9 @@ def test_cache_path_choice_follows_columns():
     assert np.abs(X - D.solve(b)).max() <= 1e-13 * np.abs(X).max()
     F.solve(b[:, 0])
     assert F.method == "cg"
+    # the third pole magnitude needs 246 steps for one column, over the
+    # budget: factored when first served
+    assert cache.get(cache.default_shifts(5)[4]).method == "sparse-ldl"
 
     P = gp_precision_matrix(gp_points(600, 0), phi=20, delta=0.02)
     cache = FactorizationCache(P)
@@ -470,6 +473,10 @@ def test_cache_path_choice_follows_columns():
     assert G.method == "cg"
     G.solve(rng.standard_normal((P.n, 40)))
     assert G.method == "sparse-ldl"
+    # the cache has now seen 40 columns: a pole that would iterate on one
+    # is factored when first served
+    assert FactorizationCache(P).get(Shift(2.0 * G.shift.value)).method == "cg"
+    assert cache.get(Shift(2.0 * G.shift.value)).method == "sparse-ldl"
 
 
 def test_iterated_pole_goes_to_factor_when_budget_is_spent(factorizations):
