@@ -559,6 +559,7 @@ class FactorizationCache:
         self._power = None      # (norm estimate, power iterate)
         self._sign = None
         self._ledger = _CgLedger()
+        self._diag_range = None     # (min, max) of A's diagonal
 
     def get(self, xi: Shift) -> ShiftedFactorization:
         key = xi.value
@@ -582,21 +583,38 @@ class FactorizationCache:
             return None
         if _solver_kind(self.A) != "superlu":
             return None
+        inv = xi.inv
+        # a pole served before resumes, so that keep_one and keep-all
+        # caches decide alike
+        new = xi.value not in spent
+        budget = _cg_budget(self.A.n)
+        if new and self._diagonal_steps(inv) * self._ledger.widest > budget:
+            return None
         # recomputed per pole, so that no n-vector stays resident next to
         # the factors
         diag, off, k = _gershgorin_rows(self.A)
-        inv = xi.inv
         interval = _gershgorin_interval(1.0 - inv * diag, abs(inv) * off, k)
         if interval is None:
             return None
         steps = _cg_steps(*interval)
-        # a pole served before resumes, so that keep_one and keep-all
-        # caches decide alike
-        if xi.value not in spent:
-            if steps * self._ledger.widest > _cg_budget(self.A.n):
+        if new:
+            if steps * self._ledger.widest > budget:
                 return None
             spent[xi.value] = 0
         return _IteratedPole(self.A, xi, *interval, k, steps, self._ledger)
+
+    def _diagonal_steps(self, inv):
+        """A lower bound, from O(1) work per pole, on the CG steps of
+        I - A/xi (inv = 1/xi): the diagonal of a symmetric matrix lies
+        within the Gershgorin interval, so the step count of its range is
+        at most the certificate's.  inf when a diagonal entry is not
+        positive, which no certificate passes."""
+        if self._diag_range is None:
+            d = self.A.to_scipy().diagonal()
+            self._diag_range = np.array([d.min(), d.max()])
+        ends = 1.0 - inv * self._diag_range
+        lo, hi = float(ends.min()), float(ends.max())
+        return _cg_steps(lo, hi) if lo > 0.0 else math.inf
 
     def norm_estimate(self):
         """The norm estimate of ``power_iteration(A)``."""

@@ -479,6 +479,21 @@ def test_cache_path_choice_follows_columns():
     assert cache.get(Shift(2.0 * G.shift.value)).method == "sparse-ldl"
 
 
+def test_diagonal_range_rules_poles_out_without_row_sums(monkeypatch):
+    # once the cache has seen 40 columns, the step count of the diagonal's
+    # range already overruns the budget: no O(nnz) row-sum pass per pole
+    P = gp_precision_matrix(gp_points(600, 0), phi=20, delta=0.02)
+    cache = FactorizationCache(P)
+    cache.get(cache.default_shifts(1)[0]).solve(np.ones((P.n, 40)))
+    rows = shifts_mod._gershgorin_rows
+    calls = []
+    monkeypatch.setattr(shifts_mod, "_gershgorin_rows",
+                        lambda A: calls.append(A) or rows(A))
+    for xi in cache.default_shifts(12)[2::2]:
+        assert cache.get(xi).method == "sparse-ldl"
+    assert not calls
+
+
 def test_iterated_pole_goes_to_factor_when_budget_is_spent(factorizations):
     A = gen_laplacian2d(50)
     cache = FactorizationCache(A, keep_one=True)
