@@ -512,7 +512,9 @@ class FactorizationCache:
       or a SuperLU factor), for every operator and pole not below;
     - by conjugate gradients (``method`` ``cg``), when I - A/xi would go
       to SuperLU, the dominance certificate proves it SPD, computed in
-      O(nnz) per pole from A's row sums, and its Chebyshev step count times
+      O(nnz) per pole from A's row sums (skipped when the step count of
+      the diagonal's range, a lower bound, rules the pole out), and its
+      Chebyshev step count times
       the widest solve an iterated pole of the cache has seen (one column
       at first) is within the budget ``CG_BUDGET_PER_ROOT * sqrt(n)``.
       The pole iterates while its steps times right-hand-side columns,
