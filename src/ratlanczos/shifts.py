@@ -7,7 +7,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import daxpy
 
 from .errors import DimensionError, IndefiniteShiftError, ShiftError
 from .sparse import SparseSym, power_iteration
@@ -236,7 +235,12 @@ class _IteratedPole(ShiftedFactorization):
 
     def _cg(self, B):
         """CG on every column of B, each a contiguous vector; None when a
-        column misses its residual bound."""
+        column misses its residual bound.  The updates scale p and q in
+        place (p carries alpha into the next direction) rather than call
+        SciPy's BLAS daxpy: that was about 8 % faster a step, but its
+        first call kept about 0.4 MB more resident for the process's
+        lifetime, and the ``lqr-laplace40k`` peak RSS rose above that of
+        a run that only factors (113.4 against 113.0 MB)."""
         M = self._A.to_scipy()
         inv = self.shift.inv
         X = np.empty(B.shape, order="F")
@@ -253,10 +257,12 @@ class _IteratedPole(ShiftedFactorization):
                 q *= -inv
                 q += p
                 alpha = rr / float(p @ q)
-                daxpy(p, x, a=alpha)
-                daxpy(q, r, a=-alpha)
+                p *= alpha
+                x += p
+                q *= alpha
+                r -= q
                 rr, rr_prev = float(r @ r), rr
-                p *= rr / rr_prev
+                p *= rr / (rr_prev * alpha)
                 p += r
             res = np.linalg.norm(b - x + inv * (M @ x))
             if not res <= self._rtol * (self._hi * np.linalg.norm(x)
