@@ -117,7 +117,9 @@ def quad_form(A: SparseSym, v, shifts=None, req: FormRequest = None,
     queries the shifted factors, the norm estimate of the residual bound
     and the default poles, so a warm query runs no power iteration and
     factors no pole.  Without one, the query builds its own cache, which
-    keeps one factor at a time.  The results are the same bit for bit.
+    keeps one factor at a time.  The results are the same bit for bit,
+    except where a warm shared cache serves at its factor a pole that the
+    query's own cache would iterate (see ``FactorizationCache``).
     """
     req = req or FormRequest()
     res, history, bounds, converged = _scalar_form(
